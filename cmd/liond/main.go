@@ -22,7 +22,6 @@
 //	GET  /healthz                  liveness (always 200 while the process runs)
 //	GET  /readyz                   readiness (503 while draining or a critical alert fires)
 //	GET  /metrics                  Prometheus exposition (obs registry)
-//	GET  /debug/trace/{id}         last solve trace for one tag, NDJSON (-trace)
 //	GET  /debug/flight/{id}        flight-recorder traces for one tag, NDJSON
 //	GET  /debug/pipespans          pipeline spans, NDJSON (?trace= filters)
 //	GET  /debug/dashboard          dependency-free HTML health dashboard
@@ -127,8 +126,6 @@ func parseFlags(args []string) (*config, error) {
 		workers = fs.Int("workers", 0, "solve pool size (0 = GOMAXPROCS)")
 		timeout = fs.Duration("solve-timeout", 0, "per-window solve timeout (0 = none)")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
-		trace   = fs.Bool("trace", false,
-			"record each window's solve trace, served at /debug/trace/{tag}")
 		monitor = fs.Bool("monitor", true,
 			"run the solve-health monitor (alerts, flight recorder, /v1/alerts)")
 		wireOK = fs.Bool("wire", true,
@@ -274,7 +271,6 @@ func parseFlags(args []string) (*config, error) {
 			JobTimeout:    *timeout,
 			Solver:        sv,
 			SolverFactory: factory,
-			TraceSolves:   *trace,
 			Antenna:       *antenna,
 		},
 	}, nil
@@ -334,7 +330,6 @@ func run(args []string) error {
 		"window", cfg.cfg.WindowSize,
 		"every", cfg.cfg.SolveEvery,
 		"workers", cfg.cfg.Workers,
-		"trace", cfg.cfg.TraceSolves,
 		"monitor", mon != nil,
 		"calibrations", len(cfg.health.Calibrations),
 		"recal", ctrl != nil)
@@ -491,7 +486,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.Handle("GET /metrics", s.eng.Registry().Handler())
-	mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
 	mux.HandleFunc("GET /debug/flight/{id}", s.handleFlight)
 	mux.HandleFunc("GET /debug/pipespans", s.handlePipeSpans)
 	mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)
@@ -635,18 +629,4 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
 	})
-}
-
-// handleTrace serves the tag's last solve trace as NDJSON. Traces exist only
-// when the daemon runs with -trace.
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tag := r.PathValue("id")
-	events, ok := s.eng.LastTrace(tag)
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("no trace for tag %q (is liond running with -trace?)", tag))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	obs.WriteEventsNDJSON(w, events)
 }

@@ -49,7 +49,7 @@ func smokeTrace(t *testing.T) []sim.Sample {
 // start the production serve loop on a random port, push an NDJSON trace
 // over real HTTP, read the estimate back, and shut down cleanly.
 func TestServeSmoke(t *testing.T) {
-	cfg, err := parseFlags([]string{"-intervals", "0.1", "-every", "32", "-workers", "2", "-trace"})
+	cfg, err := parseFlags([]string{"-intervals", "0.1", "-every", "32", "-workers", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,21 +109,17 @@ func TestServeSmoke(t *testing.T) {
 			resp.StatusCode, ingest.Accepted, ingest.Dropped, len(trace))
 	}
 
-	// Solves run asynchronously; poll briefly for the estimate.
+	// Solves run asynchronously, and the first windows are too short for
+	// the 0.1 m interval to pair: poll until the estimate of the last window
+	// the -every 32 cadence dispatches is served.
+	lastDispatched := trace[len(trace)/32*32-1].Time.Seconds()
 	var est estimateJSON
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, body := get(t, base+"/v1/tags/T1/estimate")
-		if code == http.StatusOK {
-			if err := json.Unmarshal([]byte(body), &est); err != nil {
-				t.Fatalf("estimate decode: %v in %s", err, body)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no estimate after ingest (last status %d)", code)
-		}
-		time.Sleep(10 * time.Millisecond)
+	code, body := poll(t, base+"/v1/tags/T1/estimate", func(code int, body string) bool {
+		est = estimateJSON{}
+		return code == http.StatusOK && json.Unmarshal([]byte(body), &est) == nil && est.ToS >= lastDispatched
+	})
+	if code != http.StatusOK || est.ToS < lastDispatched {
+		t.Fatalf("no estimate up to t=%gs after ingest (last status %d): %s", lastDispatched, code, body)
 	}
 	if est.Tag != "T1" || est.Error != "" || est.X == nil || est.Y == nil {
 		t.Fatalf("estimate: %+v", est)
@@ -158,24 +154,31 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 
-	// The solve trace endpoint serves NDJSON with per-iteration solver
-	// events (the daemon was started with -trace).
-	traceBody := getOK(t, base+"/debug/trace/T1")
+	// The flight recorder serves the tag's solve traces as NDJSON, with
+	// per-iteration solver events.
+	code, flightBody := poll(t, base+"/debug/flight/T1", func(code int, _ string) bool { return code == http.StatusOK })
+	if code != http.StatusOK {
+		t.Fatalf("flight records: status %d: %s", code, flightBody)
+	}
 	var sawIter bool
-	for _, line := range strings.Split(strings.TrimSpace(traceBody), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
+	for _, line := range strings.Split(strings.TrimSpace(flightBody), "\n") {
+		var rec struct {
+			Events []map[string]any `json:"events"`
 		}
-		if ev["event"] == "irls_iter" {
-			sawIter = true
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("flight line %q: %v", line, err)
+		}
+		for _, ev := range rec.Events {
+			if ev["event"] == "irls_iter" {
+				sawIter = true
+			}
 		}
 	}
 	if !sawIter {
-		t.Errorf("trace has no irls_iter events:\n%s", traceBody)
+		t.Errorf("flight records have no irls_iter events:\n%s", flightBody)
 	}
-	if code, _ := get(t, base+"/debug/trace/NOPE"); code != http.StatusNotFound {
-		t.Errorf("trace for unknown tag: status %d, want 404", code)
+	if code, _ := get(t, base+"/debug/flight/NOPE"); code != http.StatusNotFound {
+		t.Errorf("flight for unknown tag: status %d, want 404", code)
 	}
 
 	// pprof is mounted: a short CPU profile comes back as a valid pprof
@@ -209,6 +212,57 @@ func TestServeSmoke(t *testing.T) {
 	// The engine refuses ingest after the drain: fully closed.
 	if err := eng.Ingest("T1", stream.Sample{Phase: 1}); err != stream.ErrClosed {
 		t.Errorf("post-shutdown ingest err = %v, want ErrClosed", err)
+	}
+}
+
+// TestHugePhaseDrains: a finite but absurd phase (1e300) passes ingest
+// validation and reaches the unwrap inside a pool worker. The solve must
+// finish, so the daemon still drains within its deadline on shutdown.
+func TestHugePhaseDrains(t *testing.T) {
+	cfg, err := parseFlags([]string{"-intervals", "0.1", "-every", "8", "-workers", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, mon, ctrl, err := buildPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveDone := make(chan error, 1)
+	cfg.drain = 2 * time.Second
+	go func() { serveDone <- serve(ctx, ln, eng, mon, ctrl, cfg) }()
+
+	trace := smokeTrace(t)[:64]
+	trace[40].Phase = 1e300
+	var buf bytes.Buffer
+	if err := dataset.WriteNDJSON(&buf, "T1", trace); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/samples", "application/x-ndjson", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Fatalf("serve returned %v", err)
+		}
+	case <-time.After(cfg.drain + 3*time.Second):
+		t.Fatal("daemon did not drain: a solve is stuck on the huge phase")
+	}
+	if m := eng.Metrics(); m.Solves == 0 {
+		t.Errorf("no window solved: %+v", m)
 	}
 }
 
@@ -268,6 +322,20 @@ func get(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b)
+}
+
+// poll GETs url until done accepts the response or five seconds pass, and
+// returns the last response.
+func poll(t *testing.T, url string, done func(code int, body string) bool) (int, string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, body := get(t, url)
+		if done(code, body) || time.Now().After(deadline) {
+			return code, body
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func getOK(t *testing.T, url string) string {

@@ -104,9 +104,11 @@ func TestRecalSmoke(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 
-	// Estimates name the profile that corrected their window.
-	if est := getOK(t, base+"/v1/tags/T1/estimate"); !strings.Contains(est, `"profile_version":1`) {
-		t.Errorf("pre-swap estimate missing profile_version 1: %s", est)
+	// Estimates name the profile that corrected their window. Solves run
+	// asynchronously: wait for the first one.
+	code, est := poll(t, base+"/v1/tags/T1/estimate", func(code int, _ string) bool { return code == http.StatusOK })
+	if code != http.StatusOK || !strings.Contains(est, `"profile_version":1`) {
+		t.Errorf("pre-swap estimate (status %d) missing profile_version 1: %s", code, est)
 	}
 
 	// Trigger a recalibration over the live window.

@@ -19,7 +19,9 @@ var (
 // Unwrap removes the modulo-2π jumps from a wrapped phase sequence.
 // Whenever the jump between consecutive samples is at least π radians, it
 // adds or subtracts multiples of 2π until the jump falls below π
-// (Sec. IV-A-1). The input is not modified.
+// (Sec. IV-A-1). A jump of 3π or more, which no wrapped input produces, is
+// reduced in one step by the nearest multiple of 2π, so arbitrarily large
+// finite inputs still take O(1) work per sample. The input is not modified.
 func Unwrap(wrapped []float64) []float64 {
 	return UnwrapInto(make([]float64, len(wrapped)), wrapped)
 }
@@ -43,13 +45,20 @@ func UnwrapInto(dst, wrapped []float64) []float64 {
 	for i := 1; i < len(wrapped); i++ {
 		cur := wrapped[i]
 		d := cur - prev
-		for d >= math.Pi {
-			offset -= 2 * math.Pi
-			d -= 2 * math.Pi
-		}
-		for d <= -math.Pi {
-			offset += 2 * math.Pi
-			d += 2 * math.Pi
+		if math.Abs(d) >= 3*math.Pi {
+			// No wrapped input jumps this far, and for a huge d the 2π
+			// steps below would take unbounded time (1e300 − 2π == 1e300).
+			offset -= 2 * math.Pi * math.Round(d/(2*math.Pi))
+		} else {
+			// At most a couple of 2π steps for a jump under 3π.
+			for d >= math.Pi {
+				offset -= 2 * math.Pi
+				d -= 2 * math.Pi
+			}
+			for d <= -math.Pi {
+				offset += 2 * math.Pi
+				d += 2 * math.Pi
+			}
 		}
 		dst[i] = cur + offset
 		prev = cur

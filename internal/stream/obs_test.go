@@ -3,8 +3,11 @@ package stream
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/rfid-lion/lion/internal/core"
+	"github.com/rfid-lion/lion/internal/health"
 	lionobs "github.com/rfid-lion/lion/internal/obs"
 )
 
@@ -54,56 +57,68 @@ func TestEngineExportsRegistryMetrics(t *testing.T) {
 	}
 }
 
-// TestEngineLastTrace checks that TraceSolves retains the latest per-tag
-// solve trace with solver iteration events, and that tracing stays off (and
-// LastTrace empty) by default.
-func TestEngineLastTrace(t *testing.T) {
+// TestEngineFlightRecorderTraces checks that the monitor's flight recorder
+// is the per-tag store of solve traces — the newest record carries the
+// solver's iteration events — and that solves are traced iff the monitor
+// keeps a recorder.
+func TestEngineFlightRecorderTraces(t *testing.T) {
 	trace, lambda := testTrace(t, 56)
-	cfg := lineConfig(lambda)
-	cfg.TraceSolves = true
-	e, err := New(cfg)
+	run := func(mon *health.Monitor) (traced bool) {
+		t.Helper()
+		cfg := lineConfig(lambda)
+		inner := cfg.Solver
+		var mu sync.Mutex
+		cfg.Solver = func(win []core.PosPhase, tr *lionobs.Tracer) (*core.Solution, error) {
+			mu.Lock()
+			traced = traced || tr != nil
+			mu.Unlock()
+			return inner(win, tr)
+		}
+		cfg.Monitor = mon
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range toStream(trace[:160]) {
+			if err := e.Ingest("T1", s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return traced
+	}
+
+	mon, err := health.New(health.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range toStream(trace[:160]) {
-		if err := e.Ingest("T1", s); err != nil {
-			t.Fatal(err)
-		}
+	if !run(mon) {
+		t.Error("solves untraced under a flight recorder")
 	}
-	if err := e.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	events, ok := e.LastTrace("T1")
-	if !ok || len(events) == 0 {
-		t.Fatal("no trace retained with TraceSolves on")
+	records := mon.Flight("T1")
+	if len(records) == 0 {
+		t.Fatal("flight recorder retained no trace")
 	}
 	var iters int
-	for _, ev := range events {
+	for _, ev := range records[len(records)-1].Events {
 		if ev.Kind == lionobs.KindIRLSIter {
 			iters++
 		}
 	}
 	if iters == 0 {
-		t.Errorf("trace has no irls_iter events: %d events total", len(events))
+		t.Errorf("newest flight record has no irls_iter events: %+v", records[len(records)-1])
 	}
-	if _, ok := e.LastTrace("T2"); ok {
-		t.Error("unknown tag reported a trace")
+	if got := mon.Flight("T2"); len(got) != 0 {
+		t.Errorf("unknown tag has %d flight records", len(got))
 	}
 
-	// Default config: no traces retained.
-	e2, err := New(lineConfig(lambda))
+	noFlight, err := health.New(health.Config{FlightDepth: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range toStream(trace[:160]) {
-		if err := e2.Ingest("T1", s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e2.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e2.LastTrace("T1"); ok {
-		t.Error("trace retained without TraceSolves")
+	if run(noFlight) || run(nil) {
+		t.Error("solves traced without a flight recorder")
 	}
 }

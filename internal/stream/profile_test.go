@@ -10,6 +10,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/rf"
 )
 
@@ -179,9 +180,12 @@ func TestProfileSwapBarrierRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
-		WindowSize:    64,
-		MinSamples:    32,
-		SolverFactory: factory,
+		WindowSize: 64,
+		MinSamples: 32,
+		// The subscriber below may fall several estimates behind a tag, past
+		// the lifetime of a session solver's reused Solution, so every solve
+		// hands out a Solution of its own.
+		SolverFactory: func() SessionSolver { return ownedSolutions{factory()} },
 		Antenna:       "A1",
 		Profile:       &Profile{Antenna: "A1", Offset: 0.3, Lambda: lambda},
 	})
@@ -260,4 +264,17 @@ func TestProfileSwapBarrierRaceStress(t *testing.T) {
 	if worst > 0.02 {
 		t.Errorf("worst estimate error %v m across %d estimates — swap barrier torn a window", worst, checked)
 	}
+}
+
+// ownedSolutions wraps a SessionSolver so that every returned Solution is a
+// fresh copy, never rewritten by a later solve.
+type ownedSolutions struct{ SessionSolver }
+
+func (o ownedSolutions) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error) {
+	sol, err := o.SessionSolver.SolveWindow(samples, tr)
+	if sol != nil {
+		own := *sol
+		sol = &own
+	}
+	return sol, err
 }

@@ -39,6 +39,19 @@ func Free3DSolver(lambda float64, stride int, opts core.SolveOptions) Solver {
 	}
 }
 
+// statelessSolver is the SessionSolver the engine builds from Config.Solver
+// and Config.Smooth: every solve runs the offline pipeline (SolveWindow) and
+// returns the solver's own fresh Solution, so it keeps no state between
+// calls and one instance serves every tag.
+type statelessSolver struct {
+	solver Solver
+	smooth int
+}
+
+func (s statelessSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error) {
+	return SolveWindow(samples, s.smooth, s.solver, tr)
+}
+
 // IncrementalLine2DFactory returns a Config.SolverFactory for the sliding-
 // window line solver: every tag session gets its own core.LineSession plus
 // preprocessing buffers, so a steady-state window re-solve — unwrap, slide
@@ -66,13 +79,16 @@ func IncrementalLine2DFactory(lambda float64, intervals []float64, positiveSide 
 }
 
 // incrLineSolver adapts a core.LineSession to the SessionSolver contract,
-// owning the unwrap buffer, the observation window, and the result Solution.
+// owning the unwrap buffer, the observation window, and two result
+// Solutions. Solves alternate between them, so the Solution published for
+// one estimate stays intact while the next solve writes the other.
 type incrLineSolver struct {
 	sess  *core.LineSession
 	opts  core.SolveOptions
 	theta []float64
 	win   []core.PosPhase
-	sol   core.Solution
+	sol   [2]core.Solution
+	cur   int
 }
 
 // SolveWindow preprocesses exactly like the stateless path with Smooth=0 —
@@ -97,10 +113,12 @@ func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.So
 	}
 	o := s.opts
 	o.Trace = tr
-	if err := s.sess.Locate(s.win, o, &s.sol); err != nil {
+	s.cur ^= 1
+	sol := &s.sol[s.cur]
+	if err := s.sess.Locate(s.win, o, sol); err != nil {
 		return nil, err
 	}
-	return &s.sol, nil
+	return sol, nil
 }
 
 // Stats exposes the underlying session's slide/rebuild counters.

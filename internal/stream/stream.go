@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,8 +45,8 @@ type Sample struct {
 
 // Solver turns one window of preprocessed observations into an estimate.
 // Solvers must be pure functions of their input: the streamed-equals-offline
-// guarantee relies on it. The tracer is nil unless the engine was configured
-// with TraceSolves (or an offline caller passes one); solvers forward it into
+// guarantee relies on it. The tracer is nil unless the engine's Monitor keeps
+// a flight recorder (or an offline caller passes one); solvers forward it into
 // core.SolveOptions so per-iteration solver events reach the trace.
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
@@ -56,8 +57,10 @@ type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 // concurrently with itself (solves for one tag are serialized by the
 // coalescing dispatcher), so implementations need no internal locking.
 //
-// The returned Solution may alias solver-owned storage; the engine copies it
-// into per-tag publication storage before the next solve can start.
+// The engine publishes the returned Solution as is, so it must stay unchanged
+// until the tag's next estimate is published: a solver that reuses its result
+// storage must not write the previous call's Solution (alternating two buffers
+// suffices).
 type SessionSolver interface {
 	SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error)
 }
@@ -100,8 +103,9 @@ type Config struct {
 	// SubBuffer is the per-subscriber channel depth; zero defaults to 64.
 	// Slow subscribers lose estimates (counted), they never block solves.
 	SubBuffer int
-	// Solver produces estimates from window snapshots. Required unless
-	// SolverFactory is set.
+	// Solver produces estimates from window snapshots, after the engine
+	// preprocesses each window with Smooth. Required unless SolverFactory is
+	// set.
 	Solver Solver
 	// SolverFactory, when non-nil, supersedes Solver: every tag session gets
 	// its own SessionSolver instance from the factory, enabling stateful
@@ -111,21 +115,19 @@ type Config struct {
 	// smoothing rewrites the window-overlap samples on every slide, which
 	// would defeat incremental reuse; smooth inside the solver if needed.
 	//
-	// Estimates from factory-backed sessions share one Solution buffer per
-	// tag, valid until the tag's next estimate is published; subscribers
-	// that retain a Solution across estimates must copy it.
+	// A factory session may reuse its result storage, so an estimate's
+	// Solution is valid only until the tag's next estimate is published;
+	// subscribers that retain a Solution across estimates must copy it.
 	SolverFactory func() SessionSolver
 	// Registry receives the engine's lion_stream_* metrics. Nil means a
 	// private registry, still reachable through Engine.Registry().
 	Registry *obs.Registry
-	// TraceSolves attaches a fresh obs.Tracer to every window solve and
-	// retains the last completed trace per tag (Engine.LastTrace). Off by
-	// default: the hot path then passes a nil tracer, which costs nothing.
-	// A Monitor with an enabled flight recorder also turns tracing on.
-	TraceSolves bool
 	// Monitor, when non-nil, receives a health hook on every accepted
 	// sample, every drop, and every completed window solve. Nil keeps the
-	// solve path monitor-free at zero cost (one nil check).
+	// solve path monitor-free at zero cost (one nil check). When the monitor
+	// keeps a flight recorder, every window solve runs under a fresh
+	// obs.Tracer and the recorder is the per-tag store of its events;
+	// otherwise solves pass a nil tracer, which costs nothing.
 	Monitor *health.Monitor
 	// Antenna labels this engine's samples for the monitor's per-antenna
 	// drift detector. Single-reader deployments run one engine per antenna;
@@ -217,8 +219,8 @@ type Metrics struct {
 // Engine ingests per-tag sample streams and publishes estimates.
 type Engine struct {
 	cfg Config
-	// traceSolves caches TraceSolves || Monitor.WantsTraces(): the flight
-	// recorder needs tracer events even when LastTrace retention is off.
+	// traceSolves caches Monitor.WantsTraces(): solves are traced only for
+	// the flight recorder.
 	traceSolves bool
 	pool        *batch.Pool
 
@@ -274,9 +276,7 @@ type session struct {
 	inFlight  bool
 	pending   *snapshot
 	latest    *Estimate
-	latestBuf Estimate      // backing storage for latest (reused)
-	pubSol    core.Solution // published copy of a factory solver's Solution
-	lastTrace []obs.Event
+	latestBuf Estimate // backing storage for latest (reused)
 
 	// Pipeline-trace state of the most recent accepted sample, pinned into
 	// the snapshot at dispatch. origin is the staleness zero point (router
@@ -344,13 +344,18 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.WindowSpan < 0 {
 		return nil, fmt.Errorf("%w: window span %v must not be negative", ErrBadConfig, cfg.WindowSpan)
 	}
+	if cfg.SolverFactory == nil {
+		// Every session gets a solver: a stateless one is shared by all tags.
+		var shared SessionSolver = statelessSolver{solver: cfg.Solver, smooth: cfg.Smooth}
+		cfg.SolverFactory = func() SessionSolver { return shared }
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	e := &Engine{
 		cfg:         cfg,
-		traceSolves: cfg.TraceSolves || cfg.Monitor.WantsTraces(),
+		traceSolves: cfg.Monitor.WantsTraces(),
 		pool:        batch.NewPool(batch.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout, Registry: reg}),
 		sessions:    make(map[string]*session),
 		subs:        make(map[int]chan Estimate),
@@ -506,9 +511,11 @@ func (e *Engine) IngestTaggedTraced(batch []Tagged, tc obs.TraceContext, origin 
 func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin, accepted time.Time) error {
 	sess := e.sessions[tag]
 	if sess == nil {
-		sess = &session{tag: tag, buf: make([]Sample, e.cfg.WindowSize), stale: stats.NewRecorder(stalenessSeriesCap)}
-		if e.cfg.SolverFactory != nil {
-			sess.solver = e.cfg.SolverFactory()
+		sess = &session{
+			tag:    tag,
+			buf:    make([]Sample, e.cfg.WindowSize),
+			solver: e.cfg.SolverFactory(),
+			stale:  stats.NewRecorder(stalenessSeriesCap),
 		}
 		e.sessions[tag] = sess
 	}
@@ -556,14 +563,25 @@ func (e *Engine) IngestBatch(tag string, samples []Sample) (int, error) {
 	return len(samples), nil
 }
 
-// Latest returns the most recent estimate for the tag, if any.
+// Latest returns the most recent estimate for the tag, if any. Its Solution
+// is a copy the caller owns: the session's own may be rewritten by the tag's
+// next solve.
 func (e *Engine) Latest(tag string) (Estimate, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if sess := e.sessions[tag]; sess != nil && sess.latest != nil {
-		return *sess.latest, true
+	sess := e.sessions[tag]
+	if sess == nil || sess.latest == nil {
+		return Estimate{}, false
 	}
-	return Estimate{}, false
+	est := *sess.latest
+	if sol := est.Solution; sol != nil {
+		own := *sol
+		own.RefDistances = slices.Clone(sol.RefDistances)
+		own.Residuals = slices.Clone(sol.Residuals)
+		own.Weights = slices.Clone(sol.Weights)
+		est.Solution = &own
+	}
+	return est, true
 }
 
 // Tags returns the known tag ids, sorted.
@@ -649,19 +667,6 @@ func (e *Engine) Metrics() Metrics {
 		m.LatencyP99, _ = e.latency.Quantile(99)
 	}
 	return m
-}
-
-// LastTrace returns the solve trace of the tag's most recently completed
-// solve. Traces are only retained when Config.TraceSolves is set.
-func (e *Engine) LastTrace(tag string) ([]obs.Event, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if sess := e.sessions[tag]; sess != nil && sess.lastTrace != nil {
-		out := make([]obs.Event, len(sess.lastTrace))
-		copy(out, sess.lastTrace)
-		return out, true
-	}
-	return nil, false
 }
 
 // Flush snapshots every window holding unsolved samples (of at least
@@ -792,13 +797,7 @@ func (snap *snapshot) solve(ctx context.Context) (any, error) {
 	snap.applyProfile()
 	begin := time.Now()
 	mark := tr.SpanAt("window_solve")
-	var sol *core.Solution
-	var serr error
-	if s := snap.sess.solver; s != nil {
-		sol, serr = s.SolveWindow(snap.samples, tr)
-	} else {
-		sol, serr = SolveWindow(snap.samples, e.cfg.Smooth, e.cfg.Solver, tr)
-	}
+	sol, serr := snap.sess.solver.SolveWindow(snap.samples, tr)
 	mark.End()
 	snap.sv = solved{sol: sol, err: serr, start: begin, latency: time.Since(begin), trace: tr.Events()}
 	return &snap.sv, nil
@@ -833,18 +832,8 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 		est.From = snap.samples[0].Time
 		est.To = snap.samples[len(snap.samples)-1].Time
 	}
-	if sess.solver != nil && sv.sol != nil {
-		// A session solver reuses its Solution storage on the next solve,
-		// which may start as soon as the pending snapshot is chained below.
-		// Publish a per-tag copy instead of the solver's working struct.
-		copySolution(&sess.pubSol, sv.sol)
-		est.Solution = &sess.pubSol
-	}
 	sess.latestBuf = est
 	sess.latest = &sess.latestBuf
-	if sv.trace != nil {
-		sess.lastTrace = sv.trace
-	}
 	e.solves.Inc()
 	if sv.err != nil {
 		e.solveErrors.Inc()
@@ -891,19 +880,12 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			e.droppedSub.Inc()
 		}
 	}
-	e.putSnapLocked(snap) // everything needed from snap is copied into est
-	if next := sess.pending; next != nil {
-		sess.pending = nil
-		e.submitLocked(sess, next)
-	} else {
-		sess.inFlight = false
-	}
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	// The health hook runs outside the engine mutex: a full rule pass (and
-	// a possible evidence snapshot) must never serialise against ingest.
-	if m := e.cfg.Monitor; m != nil {
-		obsv := health.SolveObservation{
+	// The monitor's view of the Solution is read before the pending snapshot
+	// is chained: the tag's next solves may reuse the Solution's storage.
+	m := e.cfg.Monitor
+	var obsv health.SolveObservation
+	if m != nil {
+		obsv = health.SolveObservation{
 			Tag:     est.Tag,
 			Antenna: e.cfg.Antenna,
 			Time:    est.To,
@@ -920,6 +902,19 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			obsv.Condition = sol.ConditionEstimate
 			obsv.Iterations = sol.Iterations
 		}
+	}
+	e.putSnapLocked(snap) // everything needed from snap is copied into est
+	if next := sess.pending; next != nil {
+		sess.pending = nil
+		e.submitLocked(sess, next)
+	} else {
+		sess.inFlight = false
+	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	// The health hook runs outside the engine mutex: a full rule pass (and
+	// a possible evidence snapshot) must never serialise against ingest.
+	if m != nil {
 		m.ObserveSolve(obsv)
 	}
 }
@@ -974,16 +969,6 @@ func (s *session) push(v Sample) {
 func (s *session) evictOldest() {
 	s.start = (s.start + 1) % len(s.buf)
 	s.n--
-}
-
-// copySolution copies src into dst, reusing dst's slice backing so a
-// steady-state publication from a session solver does not allocate.
-func copySolution(dst, src *core.Solution) {
-	res, w, rd := dst.Residuals, dst.Weights, dst.RefDistances
-	*dst = *src
-	dst.Residuals = append(res[:0], src.Residuals...)
-	dst.Weights = append(w[:0], src.Weights...)
-	dst.RefDistances = append(rd[:0], src.RefDistances...)
 }
 
 func finite(x float64) bool {

@@ -7,10 +7,11 @@ import (
 )
 
 // Observability re-exports: the metrics registry, solve tracer, and
-// structured logger behind liond's /metrics and /debug/trace endpoints.
-// Attach a Tracer through SolveOptions.Trace (or StreamConfig.TraceSolves)
-// to record per-IRWLS-iteration and per-candidate solver events; a nil
-// Tracer is free on the hot path.
+// structured logger behind liond's /metrics and /debug/flight endpoints.
+// Attach a Tracer through SolveOptions.Trace to record per-IRWLS-iteration
+// and per-candidate solver events (a StreamEngine traces its solves while its
+// health monitor keeps a flight recorder); a nil Tracer is free on the hot
+// path.
 type (
 	// Registry is a central metrics registry with Prometheus exposition.
 	Registry = obs.Registry

@@ -25,8 +25,8 @@ type (
 	// StreamSolver turns one preprocessed window into an estimate.
 	StreamSolver = stream.Solver
 	// StreamSessionSolver is a stateful per-tag window solver, created by
-	// StreamConfig.SolverFactory; see stream.SessionSolver for the aliasing
-	// and serialization contract.
+	// StreamConfig.SolverFactory; see stream.SessionSolver for how long a
+	// returned Solution must stay valid and how calls are serialized.
 	StreamSessionSolver = stream.SessionSolver
 	// StreamDropPolicy selects the behaviour at a full window.
 	StreamDropPolicy = stream.DropPolicy
