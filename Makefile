@@ -73,12 +73,13 @@ recal-smoke:
 load-smoke:
 	$(GO) test ./cmd/lionload -run TestLoadSmokeLiond -count=1 -v
 
-## fuzz: short fuzzing passes over the phase-wrap, unwrap, preprocessing, and
-## ingest decoding invariants (their seed corpora also run in every plain
-## `go test`).
+## fuzz: short fuzzing passes over the phase-wrap, unwrap, preprocessing,
+## ingest decoding, and histogram wire-form invariants (their seed corpora
+## also run in every plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
 	$(GO) test -run '^$$' -fuzz FuzzUnwrap -fuzztime 30s ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzPreprocess -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzIngestDecode -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzHistJSON -fuzztime 30s ./internal/stats

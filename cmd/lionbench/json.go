@@ -367,9 +367,11 @@ func benchSuite() []struct {
 	}
 }
 
-// writeBenchJSON runs the suite and writes the snapshot to path ("-" for
-// stdout).
+// writeBenchJSON runs the suite at GOMAXPROCS 1 — so snapshots from
+// different machines compare like with like (allocation counts shift with
+// GOMAXPROCS) — and writes the snapshot to path ("-" for stdout).
 func writeBenchJSON(path string, stdout io.Writer) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	snap := benchfmt.Snapshot{
 		Schema:    benchfmt.Schema,
 		GoVersion: runtime.Version(),

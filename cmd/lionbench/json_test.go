@@ -34,7 +34,7 @@ func TestRunJSONSnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("snapshot decode: %v", err)
 	}
-	if snap.Schema != "lionbench/1" || snap.GoVersion == "" {
+	if snap.Schema != "lionbench/1" || snap.GoVersion == "" || snap.MaxProcs != 1 {
 		t.Errorf("snapshot header = %+v", snap)
 	}
 	if len(snap.Benchmarks) != len(benchSuite()) {

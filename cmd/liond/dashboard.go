@@ -1,10 +1,11 @@
 // The /debug/dashboard endpoint: a single self-contained HTML page — no
 // external scripts, stylesheets, or fonts — summarising the daemon's health
 // at a glance. It renders counter gauges from the stream engine, the alert
-// table and per-antenna drift from the monitor, and inline SVG sparklines
-// from the obs registry's windowed histograms and the monitor's per-tag
-// residual series. Everything is computed server-side per request; the page
-// re-polls itself with a meta refresh.
+// table and per-antenna drift from the monitor, p50/p99 gauges from the obs
+// registry's quantile windows, and inline SVG sparklines from the engine's
+// per-tag staleness and the monitor's per-tag residual series. Everything is
+// computed server-side per request; the page re-polls itself with a meta
+// refresh.
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/health"
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // sparkW/sparkH size the inline sparklines.
@@ -57,20 +59,6 @@ func svgSparkline(values []float64) string {
 	}
 	sb.WriteString(`</svg>`)
 	return sb.String()
-}
-
-// histogramSpark returns the sparkline of a registry histogram's recent raw
-// observations, or an empty string when the histogram is absent or empty.
-func (s *server) histogramSpark(name string) string {
-	h, ok := s.eng.Registry().FindHistogram(name)
-	if !ok {
-		return ""
-	}
-	win := h.WindowSnapshot()
-	if len(win) == 0 {
-		return ""
-	}
-	return svgSparkline(win)
 }
 
 func stateClass(st health.State) string {
@@ -124,16 +112,16 @@ func (s *server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	gauge("dropped", fmt.Sprint(m.DroppedOverflow+m.DroppedAge))
 	gauge("queue depth", fmt.Sprint(m.QueueDepth))
 	if m.LatencyCount > 0 {
-		gauge("p50 latency", fmt.Sprintf("%.2g s", m.LatencyP50))
-		gauge("p99 latency", fmt.Sprintf("%.2g s", m.LatencyP99))
+		gauge("p50 solve latency", fmt.Sprintf("%.2g s", m.LatencyP50))
+		gauge("p99 solve latency", fmt.Sprintf("%.2g s", m.LatencyP99))
+	}
+	if h, ok := s.eng.Registry().FindHistogram("lion_health_eval_seconds"); ok {
+		if q := obs.QuantilesOf(h.Window()); q.Count > 0 {
+			gauge("p50 health eval", fmt.Sprintf("%.2g s", q.P50))
+			gauge("p99 health eval", fmt.Sprintf("%.2g s", q.P99))
+		}
 	}
 	sb.WriteString(`</div>`)
-	if spark := s.histogramSpark("lion_stream_solve_latency_seconds"); spark != "" {
-		fmt.Fprintf(&sb, `<p>solve latency %s</p>`, spark)
-	}
-	if spark := s.histogramSpark("lion_health_eval_seconds"); spark != "" {
-		fmt.Fprintf(&sb, `<p>health eval %s</p>`, spark)
-	}
 
 	// Per-tag freshness: how stale each tag's estimates are at publication,
 	// measured from the upstream receive clock (bounded so the page stays

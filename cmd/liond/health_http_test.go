@@ -259,7 +259,8 @@ func TestAlertsAndFlightEndpoints(t *testing.T) {
 }
 
 // TestDashboard checks the HTML dashboard renders the gauges, drift table,
-// alert table, and sparklines without external assets.
+// alert table, quantile-window gauges, and sparklines without external
+// assets.
 func TestDashboard(t *testing.T) {
 	s, h := newHealthServer(t)
 	center := geom.V3(0.1, 0.8, 0)
@@ -275,6 +276,7 @@ func TestDashboard(t *testing.T) {
 		"<!doctype html",
 		"liond",
 		"ingested",          // gauges
+		"p99 health eval",   // quantile-window gauges
 		"calibration_drift", // alert table
 		"antenna:A1",
 		"<svg", // sparklines

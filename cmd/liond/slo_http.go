@@ -1,15 +1,14 @@
 // SLO and pipeline-trace endpoints: /v1/slo and /debug/pipespans.
 //
-// /v1/slo is the per-shard half of the cluster SLO contract: it reports the
-// windowed p50/p95/p99 of every pipeline latency dimension this daemon
-// measures, in exactly the shape lionroute's rollup parses — one
-// {"p50","p95","p99","count"} object per dimension plus a scalar
-// "alert_latency_seconds". Dimensions with no observations yet are reported
-// with an explicit zero count and zero quantiles — never omitted, and never
-// with garbage quantiles from an empty window. The zero count is the
-// consumer's signal: lionroute's rollup and lionload's scraper both treat
-// count==0 as "no evidence", so an idle shard can never be mistaken for a
-// fast one.
+// /v1/slo is the per-shard half of the cluster SLO contract: it reports every
+// pipeline latency dimension this daemon measures as one obs.Quantiles —
+// the p50/p95/p99 and count of the histogram's 5–10 s quantile window plus
+// the window itself, which lionroute merges exactly across shards — and a
+// scalar "alert_latency_seconds". Dimensions with no recent observations are
+// reported with an explicit zero count and zero quantiles, never omitted.
+// The zero count is the consumer's signal: lionroute's merge and lionload's
+// scraper both treat count==0 as "no evidence", so an idle shard can never be
+// mistaken for a fast one.
 package main
 
 import (
@@ -19,19 +18,9 @@ import (
 	"github.com/rfid-lion/lion/internal/obs"
 )
 
-// sloQuantiles is one latency dimension of the /v1/slo document. The field
-// set mirrors internal/cluster's parser; changing it is a cluster protocol
-// change.
-type sloQuantiles struct {
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Count uint64  `json:"count"`
-}
-
 // sloDimensions maps /v1/slo document keys to the registry histograms they
-// summarise. Quantiles come from each histogram's sliding window of raw
-// observations, so they track current behaviour, not lifetime averages.
+// summarise. Quantiles come from each histogram's quantile window, so they
+// track current behaviour, not lifetime averages.
 var sloDimensions = []struct{ key, metric string }{
 	{"staleness_seconds", "lion_stream_staleness_seconds"},
 	{"queue_wait_seconds", "lion_stream_queue_wait_seconds"},
@@ -45,26 +34,9 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	doc := make(map[string]any, len(sloDimensions)+1)
 	for _, dim := range sloDimensions {
 		h, ok := s.eng.Registry().FindHistogram(dim.metric)
-		if !ok {
-			continue
+		if ok {
+			doc[dim.key] = obs.QuantilesOf(h.Window())
 		}
-		// An empty window reports the explicit zero document. Quantile's ok
-		// flag gates every read so an empty window can never leak whatever an
-		// unobserved recorder would interpolate.
-		q := sloQuantiles{Count: h.Count()}
-		if q.Count > 0 {
-			// Histogram.Quantile takes a percentile in [0, 100].
-			if v, ok := h.Quantile(50); ok {
-				q.P50 = v
-			}
-			if v, ok := h.Quantile(95); ok {
-				q.P95 = v
-			}
-			if v, ok := h.Quantile(99); ok {
-				q.P99 = v
-			}
-		}
-		doc[dim.key] = q
 	}
 	if lat, ok := s.alertLatency(); ok {
 		doc["alert_latency_seconds"] = lat

@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http/httptest"
 	"testing"
+
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // getSLO fetches and parses /v1/slo from an in-process server.
@@ -34,13 +36,13 @@ func TestSLOEmptyWindowsExplicitZero(t *testing.T) {
 			t.Errorf("idle /v1/slo omits %s, want explicit zero document", dim.key)
 			continue
 		}
-		var q sloQuantiles
+		var q obs.Quantiles
 		if err := json.Unmarshal(raw, &q); err != nil {
 			t.Errorf("%s does not parse: %v (%s)", dim.key, err, raw)
 			continue
 		}
-		if q.Count != 0 || q.P50 != 0 || q.P95 != 0 || q.P99 != 0 {
-			t.Errorf("idle %s = %+v, want all-zero", dim.key, q)
+		if q.Count != 0 || q.P50 != 0 || q.P95 != 0 || q.P99 != 0 || q.Hist == nil || q.Hist.Count() != 0 {
+			t.Errorf("idle %s = %+v, want all-zero with an empty hist", dim.key, q)
 		}
 	}
 	if _, ok := doc["alert_latency_seconds"]; ok {
@@ -49,10 +51,10 @@ func TestSLOEmptyWindowsExplicitZero(t *testing.T) {
 }
 
 // TestSLOQuantilesArePercentiles feeds a known distribution into the ingest
-// request histogram and checks /v1/slo reports the actual upper quantiles.
-// This is the regression test for the percentile-argument bug where
-// Quantile(0.95) — a fraction handed to a [0,100]-percentile API — reported
-// roughly the p1 of every dimension.
+// request histogram and checks /v1/slo reports the actual upper quantiles
+// and ships the window they came from. It guards against the old
+// percentile-argument bug where a fraction handed to a [0,100]-percentile
+// API reported roughly the p1 of every dimension.
 func TestSLOQuantilesArePercentiles(t *testing.T) {
 	s := traceServer(t)
 	h, ok := s.eng.Registry().FindHistogram("lion_http_ingest_seconds")
@@ -64,7 +66,7 @@ func TestSLOQuantilesArePercentiles(t *testing.T) {
 		h.Observe(float64(i) / 1000)
 	}
 	doc := getSLO(t, s)
-	var q sloQuantiles
+	var q obs.Quantiles
 	if err := json.Unmarshal(doc["ingest_request_seconds"], &q); err != nil {
 		t.Fatalf("ingest_request_seconds missing: %v", err)
 	}
@@ -81,5 +83,11 @@ func TestSLOQuantilesArePercentiles(t *testing.T) {
 	check("p99", q.P99, 0.099)
 	if q.P95 <= q.P50 || q.P99 < q.P95 {
 		t.Errorf("quantiles not ordered: %+v", q)
+	}
+	if q.Hist == nil || q.Hist.Count() != 100 {
+		t.Fatalf("hist = %+v, want the 100-observation window", q.Hist)
+	}
+	if p99, _ := q.Hist.Quantile(0.99); p99 != q.P99 {
+		t.Errorf("hist p99 %g disagrees with the served p99 %g", p99, q.P99)
 	}
 }

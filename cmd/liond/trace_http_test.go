@@ -113,7 +113,7 @@ func TestTracedWireIngest(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/v1/slo status %d", rec.Code)
 	}
-	var doc map[string]sloQuantiles
+	var doc map[string]obs.Quantiles
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}

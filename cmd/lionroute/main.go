@@ -25,7 +25,7 @@
 //	GET  /v1/tags/{id}/estimate    proxied to the shard owning the tag
 //	GET  /v1/alerts                every live shard's alert document
 //	GET  /v1/cluster               shard states, queue depths
-//	GET  /v1/slo                   cluster SLO rollup (worst shard per dimension)
+//	GET  /v1/slo                   cluster SLOs, shard windows merged exactly
 //	GET  /v1/trace/{id}            assembled cross-process pipeline trace
 //	GET  /debug/pipespans          router-side spans, NDJSON (?trace= filters)
 //	GET  /healthz                  router liveness

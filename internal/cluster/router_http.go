@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,6 +13,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/stats"
 	"github.com/rfid-lion/lion/internal/wire"
 )
 
@@ -195,43 +195,21 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"shards": rt.Status()})
 }
 
-// sloQuantiles is one latency dimension of a shard's /v1/slo document and of
-// the router's cluster rollup.
-type sloQuantiles struct {
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Count uint64  `json:"count"`
-}
-
-// handleSLO fans /v1/slo out to the live shards and rolls the answers up into
-// a cluster-wide worst-case view: for every latency dimension the rollup
-// quantile is the maximum across shards (an SLO holds for the cluster only if
-// it holds for its slowest shard) and counts are summed exactly. Shards whose
-// window for a dimension is still empty (count 0) contribute the dimension's
-// presence but not its quantiles, so an idle shard never drags a rollup
-// toward zero and a dimension no shard has observed still appears with an
-// explicit zero count. alert_latency_seconds rolls up as the maximum reported
-// by any shard. The router's own ingest request histogram is merged into
-// ingest_request_seconds the same worst-case way: a cluster's ingest SLO is
-// bounded by whichever hop — router or slowest shard — is slower.
+// handleSLO fans /v1/slo out to the live shards and merges the answers into
+// an exact cluster view: for every latency dimension the shards' quantile
+// windows (the "hist" of each obs.Quantiles) add bucket by bucket, so the
+// cluster quantiles and count equal those of one histogram that observed
+// every shard's samples — a slow shard sets the cluster tail in proportion
+// to its share of observations, and its own entry under "shards" shows it
+// regardless. A shard dimension that does not decode (no hist, or one
+// failing stats.Hist's validation) is left out of the merge but stays
+// visible under "shards". Every merged dimension appears, an all-idle one
+// with explicit zeros. The router's own POST /v1/samples wall-time window is
+// merged into ingest_request_seconds, so the cluster's ingest SLO covers
+// both hops. alert_latency_seconds rolls up as the maximum any shard reports.
 func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 	shards := rt.fanOut("/v1/slo")
-	agg := make(map[string]*sloQuantiles)
-	merge := func(key string, q sloQuantiles) {
-		a := agg[key]
-		if a == nil {
-			a = &sloQuantiles{}
-			agg[key] = a
-		}
-		if q.Count == 0 {
-			return
-		}
-		a.P50 = math.Max(a.P50, q.P50)
-		a.P95 = math.Max(a.P95, q.P95)
-		a.P99 = math.Max(a.P99, q.P99)
-		a.Count += q.Count
-	}
+	merged := map[string]*stats.Hist{"ingest_request_seconds": rt.ingestReq.Window()}
 	var alertMax float64
 	alertSeen := false
 	for _, body := range shards {
@@ -247,42 +225,25 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
-			var q sloQuantiles
-			if json.Unmarshal(raw, &q) != nil {
+			var q obs.Quantiles
+			if json.Unmarshal(raw, &q) != nil || q.Hist == nil {
 				continue
 			}
-			merge(key, q)
+			if m := merged[key]; m != nil {
+				m.Merge(q.Hist)
+			} else {
+				merged[key] = q.Hist
+			}
 		}
 	}
-	merge("ingest_request_seconds", rt.ownIngestQuantiles())
-	cluster := make(map[string]any, len(agg)+1)
-	for key, q := range agg {
-		cluster[key] = q
+	cluster := make(map[string]any, len(merged)+1)
+	for key, h := range merged {
+		cluster[key] = obs.QuantilesOf(h)
 	}
 	if alertSeen {
 		cluster["alert_latency_seconds"] = alertMax
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"shards": shards, "cluster": cluster})
-}
-
-// ownIngestQuantiles summarises the router's own POST /v1/samples wall time
-// in the /v1/slo dimension shape. An untouched histogram reports the explicit
-// zero document.
-func (rt *Router) ownIngestQuantiles() sloQuantiles {
-	q := sloQuantiles{Count: rt.ingestReq.Count()}
-	if q.Count > 0 {
-		// Histogram.Quantile takes a percentile in [0, 100].
-		if v, ok := rt.ingestReq.Quantile(50); ok {
-			q.P50 = v
-		}
-		if v, ok := rt.ingestReq.Quantile(95); ok {
-			q.P95 = v
-		}
-		if v, ok := rt.ingestReq.Quantile(99); ok {
-			q.P99 = v
-		}
-	}
-	return q
 }
 
 // handleTrace assembles one cross-process pipeline trace: the router's own

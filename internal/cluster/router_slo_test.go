@@ -8,6 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // sloShard serves a fixed /v1/slo document and accepts forwarded ingest.
@@ -56,13 +59,13 @@ func clusterSLO(t *testing.T, rt *Router) map[string]json.RawMessage {
 	return doc.Cluster
 }
 
-func dim(t *testing.T, doc map[string]json.RawMessage, key string) sloQuantiles {
+func dim(t *testing.T, doc map[string]json.RawMessage, key string) obs.Quantiles {
 	t.Helper()
 	raw, ok := doc[key]
 	if !ok {
 		t.Fatalf("cluster rollup missing %s (have %v)", key, keysOf(doc))
 	}
-	var q sloQuantiles
+	var q obs.Quantiles
 	if err := json.Unmarshal(raw, &q); err != nil {
 		t.Fatalf("%s does not parse: %v", key, err)
 	}
@@ -77,70 +80,151 @@ func keysOf(m map[string]json.RawMessage) []string {
 	return out
 }
 
-// TestRouterSLORollupShardAsymmetry: with one fast busy shard and one slow
-// quiet shard, the cluster quantiles must come from the slow shard (an SLO
-// holds for the cluster only if its slowest shard holds it) while the counts
-// stay the exact sum — the fast shard's volume must not dilute the worst
-// case, and the slow shard's low volume must not hide it.
-func TestRouterSLORollupShardAsymmetry(t *testing.T) {
-	fastBusy := sloShard(t, `{
-		"staleness_seconds":{"p50":0.001,"p95":0.002,"p99":0.005,"count":100000},
-		"queue_wait_seconds":{"p50":0.0001,"p95":0.0002,"p99":0.0004,"count":100000}}`)
-	slowQuiet := sloShard(t, `{
-		"staleness_seconds":{"p50":0.5,"p95":2.0,"p99":4.0,"count":37},
-		"queue_wait_seconds":{"p50":0.1,"p95":0.3,"p99":0.9,"count":37}}`)
-	rt := sloRouter(t, fastBusy, slowQuiet)
-	doc := clusterSLO(t, rt)
+// spread returns n observations evenly spaced over [lo, hi].
+func spread(n int, lo, hi float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = lo + (hi-lo)*float64(i)/float64(max(n-1, 1))
+	}
+	return out
+}
 
-	st := dim(t, doc, "staleness_seconds")
-	if st.P50 != 0.5 || st.P95 != 2.0 || st.P99 != 4.0 {
-		t.Errorf("staleness rollup %+v: slow shard must dominate every quantile", st)
+// window records the observations into one stats.Hist.
+func window(obsSets ...[]float64) *stats.Hist {
+	var h stats.Hist
+	for _, set := range obsSets {
+		for _, v := range set {
+			h.Record(v)
+		}
 	}
-	if st.Count != 100037 {
-		t.Errorf("staleness count %d, want the exact sum 100037", st.Count)
+	return &h
+}
+
+// sloBody renders a shard /v1/slo document the way liond serves it: each
+// *stats.Hist value becomes one obs.Quantiles dimension, anything else is
+// encoded as given.
+func sloBody(t *testing.T, doc map[string]any) string {
+	t.Helper()
+	out := make(map[string]any, len(doc))
+	for k, v := range doc {
+		if h, ok := v.(*stats.Hist); ok {
+			v = obs.QuantilesOf(h)
+		}
+		out[k] = v
 	}
-	qw := dim(t, doc, "queue_wait_seconds")
-	if qw.P99 != 0.9 || qw.Count != 100037 {
-		t.Errorf("queue_wait rollup %+v", qw)
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// sameAs checks a cluster dimension against the quantiles of one histogram
+// that recorded every shard's observations itself.
+func sameAs(t *testing.T, key string, got obs.Quantiles, all *stats.Hist) {
+	t.Helper()
+	want := obs.QuantilesOf(all)
+	if got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 || got.Count != want.Count {
+		t.Errorf("%s = p50 %g p95 %g p99 %g count %d, want the single-histogram %g %g %g %d",
+			key, got.P50, got.P95, got.P99, got.Count, want.P50, want.P95, want.P99, want.Count)
+	}
+	if got.Hist == nil || got.Hist.Count() != all.Count() || got.Hist.Max() != all.Max() || got.Hist.Min() != all.Min() {
+		t.Errorf("%s merged hist %+v disagrees with the single histogram", key, got.Hist)
 	}
 }
 
-// TestRouterSLORollupExplicitZeroCounts: shards reporting a dimension with an
-// explicit zero count (the post-fix idle form) keep the dimension visible in
-// the rollup as an explicit zero, and an idle shard's zeros never drag a busy
-// shard's quantiles down.
-func TestRouterSLORollupExplicitZeroCounts(t *testing.T) {
-	idle := sloShard(t, `{
-		"staleness_seconds":{"p50":0,"p95":0,"p99":0,"count":0},
-		"solve_latency_seconds":{"p50":0,"p95":0,"p99":0,"count":0}}`)
-	busy := sloShard(t, `{
-		"staleness_seconds":{"p50":0.2,"p95":0.4,"p99":0.8,"count":500},
-		"solve_latency_seconds":{"p50":0,"p95":0,"p99":0,"count":0}}`)
-	rt := sloRouter(t, idle, busy)
+// TestRouterSLORollupShardAsymmetry: one fast busy shard and one slow shard.
+// The merge is exact: counts sum, and every cluster quantile is that of one
+// histogram holding both shards' observations. So a slow shard with 2% of a
+// dimension's observations sets its cluster p99, while one with 0.04% moves
+// no quantile yet still shows in the merged hist's max and in its own
+// shards entry.
+func TestRouterSLORollupShardAsymmetry(t *testing.T) {
+	fastStale, slowStale := spread(100000, 0.001, 0.005), spread(37, 0.5, 4.0)
+	fastQueue, slowQueue := spread(4900, 0.0001, 0.0004), spread(100, 0.1, 0.9)
+	fastBusy := sloShard(t, sloBody(t, map[string]any{
+		"staleness_seconds":  window(fastStale),
+		"queue_wait_seconds": window(fastQueue),
+	}))
+	slow := sloShard(t, sloBody(t, map[string]any{
+		"staleness_seconds":  window(slowStale),
+		"queue_wait_seconds": window(slowQueue),
+	}))
+	rt := sloRouter(t, fastBusy, slow)
 	doc := clusterSLO(t, rt)
 
 	st := dim(t, doc, "staleness_seconds")
-	if st.P99 != 0.8 || st.Count != 500 {
-		t.Errorf("idle shard corrupted the staleness rollup: %+v", st)
+	sameAs(t, "staleness_seconds", st, window(fastStale, slowStale))
+	if st.Count != 100037 {
+		t.Errorf("staleness count %d, want the exact sum 100037", st.Count)
 	}
+	if st.P99 > 0.006 || st.Hist.Max() != 4.0 {
+		t.Errorf("staleness p99 %g max %g: a 0.04%% slow shard must not set the p99 but must set the max",
+			st.P99, st.Hist.Max())
+	}
+	if s2 := shardDim(t, rt, "s2", "staleness_seconds"); s2.P99 < 3.5 {
+		t.Errorf("slow shard's own staleness p99 = %g, want its ~4 s tail", s2.P99)
+	}
+
+	qw := dim(t, doc, "queue_wait_seconds")
+	sameAs(t, "queue_wait_seconds", qw, window(fastQueue, slowQueue))
+	if qw.Count != 5000 || qw.P99 < 0.1 {
+		t.Errorf("queue_wait %+v: a 2%% slow shard must set the cluster p99", qw)
+	}
+}
+
+// shardDim reads one dimension of one shard's entry in the router's /v1/slo.
+func shardDim(t *testing.T, rt *Router, shard, key string) obs.Quantiles {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Routes().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/slo", nil))
+	var doc struct {
+		Shards map[string]map[string]json.RawMessage `json:"shards"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return dim(t, doc.Shards[shard], key)
+}
+
+// TestRouterSLORollupExplicitZeroCounts: shards reporting a dimension with an
+// empty window keep the dimension visible in the rollup as an explicit zero,
+// and an idle shard's empty window leaves a busy shard's quantiles exact.
+func TestRouterSLORollupExplicitZeroCounts(t *testing.T) {
+	busyStale := spread(500, 0.2, 0.8)
+	idle := sloShard(t, sloBody(t, map[string]any{
+		"staleness_seconds":     window(),
+		"solve_latency_seconds": window(),
+	}))
+	busy := sloShard(t, sloBody(t, map[string]any{
+		"staleness_seconds":     window(busyStale),
+		"solve_latency_seconds": window(),
+	}))
+	rt := sloRouter(t, idle, busy)
+	doc := clusterSLO(t, rt)
+
+	sameAs(t, "staleness_seconds", dim(t, doc, "staleness_seconds"), window(busyStale))
 	// A dimension every shard is idle on still appears, explicitly zero.
 	sl := dim(t, doc, "solve_latency_seconds")
-	if sl.Count != 0 || sl.P50 != 0 || sl.P99 != 0 {
+	if sl.Count != 0 || sl.P50 != 0 || sl.P95 != 0 || sl.P99 != 0 || sl.Hist == nil || sl.Hist.Count() != 0 {
 		t.Errorf("all-idle dimension = %+v, want explicit zeros", sl)
 	}
 }
 
 // TestRouterSLOOwnIngestRequest: the router merges its own POST /v1/samples
-// wall-time histogram into the cluster's ingest_request_seconds — present as
-// an explicit zero before any ingest, populated after.
+// wall-time window into the cluster's ingest_request_seconds — present as an
+// explicit zero before any ingest, and afterwards the exact merge of the
+// shard's window and the router's.
 func TestRouterSLOOwnIngestRequest(t *testing.T) {
-	shard := sloShard(t, `{}`)
-	rt := sloRouter(t, shard)
+	shardIngest := spread(10, 1.5, 2.0)
+	shard := sloShard(t, sloBody(t, map[string]any{"ingest_request_seconds": window(shardIngest)}))
+	idle := sloShard(t, `{}`)
 
-	if q := dim(t, clusterSLO(t, rt), "ingest_request_seconds"); q.Count != 0 {
-		t.Fatalf("pre-ingest ingest_request_seconds = %+v, want zero count", q)
+	if q := dim(t, clusterSLO(t, sloRouter(t, idle)), "ingest_request_seconds"); q.Count != 0 || q.Hist == nil {
+		t.Fatalf("pre-ingest ingest_request_seconds = %+v, want an explicit zero", q)
 	}
 
+	rt := sloRouter(t, shard)
 	for i := 0; i < 5; i++ {
 		body := strings.NewReader(`{"tag":"T1","time_s":1,"x_m":0,"y_m":0,"z_m":0,"phase_rad":1}`)
 		req := httptest.NewRequest("POST", "/v1/samples", body)
@@ -151,10 +235,46 @@ func TestRouterSLOOwnIngestRequest(t *testing.T) {
 		}
 	}
 	q := dim(t, clusterSLO(t, rt), "ingest_request_seconds")
-	if q.Count != 5 {
-		t.Fatalf("ingest_request_seconds count %d after 5 posts", q.Count)
+	if q.Count != 15 {
+		t.Fatalf("ingest_request_seconds count %d after 5 router posts over a 10-request shard window", q.Count)
 	}
-	if q.P99 < q.P50 || q.P99 <= 0 {
-		t.Fatalf("ingest_request_seconds quantiles %+v", q)
+	own := rt.ingestReq.Window()
+	if own.Count() != 5 {
+		t.Fatalf("router window count %d, want 5", own.Count())
+	}
+	own.Merge(window(shardIngest))
+	sameAs(t, "ingest_request_seconds", q, own)
+}
+
+// TestRouterSLOMalformedShardHist: a shard serving a hist that fails
+// validation, or none at all, is left out of the cluster merge, stays
+// visible under "shards", and does not break the endpoint.
+func TestRouterSLOMalformedShardHist(t *testing.T) {
+	good := spread(20, 0.01, 0.02)
+	healthy := sloShard(t, sloBody(t, map[string]any{"staleness_seconds": window(good)}))
+	// Bucket counts (1) disagree with count (5).
+	broken := sloShard(t, `{"staleness_seconds":{"p50":9,"p95":9,"p99":9,"count":5,`+
+		`"hist":{"count":5,"sum":45,"min":9,"max":9,"buckets":[[700,1]]}}}`)
+	// The pre-hist document shape carries no window to merge.
+	histless := sloShard(t, `{"staleness_seconds":{"p50":9,"p95":9,"p99":9,"count":5}}`)
+	rt := sloRouter(t, healthy, broken, histless)
+
+	rec := httptest.NewRecorder()
+	rt.Routes().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/slo", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/slo status %d", rec.Code)
+	}
+	var doc struct {
+		Shards  map[string]json.RawMessage `json:"shards"`
+		Cluster map[string]json.RawMessage `json:"cluster"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	sameAs(t, "staleness_seconds", dim(t, doc.Cluster, "staleness_seconds"), window(good))
+	for _, id := range []string{"s1", "s2", "s3"} {
+		if !strings.Contains(string(doc.Shards[id]), "staleness_seconds") {
+			t.Errorf("shard %s missing from shards: %s", id, doc.Shards[id])
+		}
 	}
 }

@@ -202,8 +202,9 @@ func TestRouterUntracedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRouterSLORollup: /v1/slo merges shard SLO documents into a worst-case
-// cluster view — max per quantile, summed counts, max alert latency.
+// TestRouterSLORollup: /v1/slo merges shard SLO documents into an exact
+// cluster view — quantiles of the merged windows, summed counts, max alert
+// latency.
 func TestRouterSLORollup(t *testing.T) {
 	newSrv := func(doc string) *httptest.Server {
 		mux := http.NewServeMux()
@@ -215,8 +216,9 @@ func TestRouterSLORollup(t *testing.T) {
 		t.Cleanup(srv.Close)
 		return srv
 	}
-	s1 := newSrv(`{"staleness_seconds":{"p50":0.01,"p95":0.05,"p99":0.2,"count":100},"alert_latency_seconds":1.5}`)
-	s2 := newSrv(`{"staleness_seconds":{"p50":0.02,"p95":0.04,"p99":0.1,"count":50}}`)
+	v1, v2 := spread(100, 0.01, 0.2), spread(50, 0.02, 0.1)
+	s1 := newSrv(sloBody(t, map[string]any{"staleness_seconds": window(v1), "alert_latency_seconds": 1.5}))
+	s2 := newSrv(sloBody(t, map[string]any{"staleness_seconds": window(v2)}))
 	rt, err := New(Config{
 		Shards: []ShardConfig{
 			{ID: "s1", URL: s1.URL},
@@ -237,8 +239,8 @@ func TestRouterSLORollup(t *testing.T) {
 	var doc struct {
 		Shards  map[string]json.RawMessage `json:"shards"`
 		Cluster struct {
-			Staleness    sloQuantiles `json:"staleness_seconds"`
-			AlertLatency float64      `json:"alert_latency_seconds"`
+			Staleness    obs.Quantiles `json:"staleness_seconds"`
+			AlertLatency float64       `json:"alert_latency_seconds"`
 		} `json:"cluster"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
@@ -247,9 +249,9 @@ func TestRouterSLORollup(t *testing.T) {
 	if len(doc.Shards) != 2 {
 		t.Fatalf("shards = %v", doc.Shards)
 	}
-	c := doc.Cluster.Staleness
-	if c.P50 != 0.02 || c.P95 != 0.05 || c.P99 != 0.2 || c.Count != 150 {
-		t.Errorf("cluster staleness rollup = %+v", c)
+	sameAs(t, "staleness_seconds", doc.Cluster.Staleness, window(v1, v2))
+	if c := doc.Cluster.Staleness; c.Count != 150 {
+		t.Errorf("cluster staleness count = %d, want 150", c.Count)
 	}
 	if doc.Cluster.AlertLatency != 1.5 {
 		t.Errorf("cluster alert latency = %g", doc.Cluster.AlertLatency)

@@ -11,23 +11,20 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// Quantiles is one latency dimension as served by /v1/slo — liond's flat
-// document and lionroute's cluster rollup share the shape.
-type Quantiles struct {
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Count uint64  `json:"count"`
-}
+	"github.com/rfid-lion/lion/internal/obs"
+)
 
 // DimSummary is what the scraper retains about one SLO dimension over a run:
 // the worst p99 any scrape reported (SLOs are judged against the worst
-// window, not the last), and the final scrape's full quantile set.
+// window, not the last), whether any scrape carried evidence (a non-zero
+// count — each scrape sees only the server's 5–10 s quantile window, so a
+// quiet final scrape does not erase earlier evidence), and the final
+// scrape's full quantile set.
 type DimSummary struct {
 	WorstP99 float64
-	Last     Quantiles
+	Evidence bool
+	Last     obs.Quantiles
 }
 
 // ScrapeSummary is the server-side half of a run's evidence.
@@ -113,6 +110,7 @@ func (s *Scraper) Scrape() {
 		if q.P99 > d.WorstP99 {
 			d.WorstP99 = q.P99
 		}
+		d.Evidence = d.Evidence || q.Count > 0
 		d.Last = q
 	}
 	if doc.alertSeen {
@@ -150,7 +148,7 @@ func (s *Scraper) Summary() ScrapeSummary {
 
 // sloDoc is one parsed /v1/slo response.
 type sloDoc struct {
-	dims      map[string]Quantiles
+	dims      map[string]obs.Quantiles
 	alert     float64
 	alertSeen bool
 }
@@ -158,7 +156,7 @@ type sloDoc struct {
 // fetchSLO fetches and normalises /v1/slo. A router response carries the
 // dimensions under "cluster"; a liond response is the flat document itself.
 func (s *Scraper) fetchSLO() (sloDoc, error) {
-	doc := sloDoc{dims: map[string]Quantiles{}}
+	doc := sloDoc{dims: map[string]obs.Quantiles{}}
 	resp, err := s.client.Get(s.base + "/v1/slo")
 	if err != nil {
 		return doc, err
@@ -189,7 +187,7 @@ func (s *Scraper) fetchSLO() (sloDoc, error) {
 			}
 			continue
 		}
-		var q Quantiles
+		var q obs.Quantiles
 		if json.Unmarshal(msg, &q) == nil {
 			doc.dims[key] = q
 		}

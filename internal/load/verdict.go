@@ -114,7 +114,7 @@ func Evaluate(res *Result) *Verdict {
 		clientP99, okC := total.Hist.Quantile(0.99)
 		d := res.Scrape.Dims["ingest_request_seconds"]
 		switch {
-		case !okC || d == nil || d.Last.Count == 0:
+		case !okC || d == nil || !d.Evidence:
 			add(Check{Name: "p99_agreement", Unit: "s", Skipped: true,
 				Detail: "server ingest_request_seconds not scraped"})
 		default:

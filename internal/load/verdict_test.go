@@ -1,9 +1,15 @@
 package load
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // fakeResult builds a result with a controlled latency distribution and
@@ -46,8 +52,8 @@ func manyFast(n int) []float64 {
 func TestEvaluatePasses(t *testing.T) {
 	res := fakeResult(t, manyFast(200), ScrapeSummary{
 		Dims: map[string]*DimSummary{
-			"staleness_seconds":      {WorstP99: 0.5, Last: Quantiles{P99: 0.5, Count: 10}},
-			"ingest_request_seconds": {WorstP99: 0.003, Last: Quantiles{P99: 0.003, Count: 10}},
+			"staleness_seconds":      {WorstP99: 0.5, Evidence: true, Last: obs.Quantiles{P99: 0.5, Count: 10}},
+			"ingest_request_seconds": {WorstP99: 0.003, Evidence: true, Last: obs.Quantiles{P99: 0.003, Count: 10}},
 		},
 		Scrapes: 3,
 	})
@@ -110,7 +116,7 @@ func TestEvaluateAgreement(t *testing.T) {
 	// Server claims a p99 wildly above the client's: instrumentation lies.
 	res := fakeResult(t, manyFast(200), ScrapeSummary{
 		Dims: map[string]*DimSummary{
-			"ingest_request_seconds": {WorstP99: 5, Last: Quantiles{P99: 5, Count: 10}},
+			"ingest_request_seconds": {WorstP99: 5, Evidence: true, Last: obs.Quantiles{P99: 5, Count: 10}},
 		},
 	})
 	v := Evaluate(res)
@@ -135,10 +141,43 @@ func TestEvaluateAgreement(t *testing.T) {
 	}
 }
 
+// TestEvaluateAgreementQuietFinalScrape: each scrape sees only the server's
+// 5–10 s quantile window, so a final scrape taken after the load drained
+// reports count 0. The evidence earlier scrapes carried still scores the
+// agreement check.
+func TestEvaluateAgreementQuietFinalScrape(t *testing.T) {
+	var call atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/slo" {
+			return
+		}
+		if call.Add(1) < 3 {
+			fmt.Fprint(w, `{"ingest_request_seconds":{"p50":0.002,"p95":0.003,"p99":0.003,"count":10}}`)
+			return
+		}
+		fmt.Fprint(w, `{"ingest_request_seconds":{"p50":0,"p95":0,"p99":0,"count":0}}`)
+	}))
+	defer srv.Close()
+	s := NewScraper(nil, srv.URL)
+	for i := 0; i < 3; i++ {
+		s.Scrape()
+	}
+	sum := s.Summary()
+	if d := sum.Dims["ingest_request_seconds"]; d == nil || !d.Evidence || d.Last.Count != 0 {
+		t.Fatalf("scrape summary %+v, want evidence kept past an empty final scrape", d)
+	}
+	v := Evaluate(fakeResult(t, manyFast(200), sum))
+	for _, c := range v.Checks {
+		if c.Name == "p99_agreement" && (c.Skipped || !c.OK) {
+			t.Fatalf("agreement not scored from earlier evidence: %+v", c)
+		}
+	}
+}
+
 func TestReportAndMacro(t *testing.T) {
 	res := fakeResult(t, manyFast(200), ScrapeSummary{
 		Dims: map[string]*DimSummary{
-			"staleness_seconds": {WorstP99: 0.4, Last: Quantiles{P50: 0.1, P95: 0.3, P99: 0.4, Count: 7}},
+			"staleness_seconds": {WorstP99: 0.4, Evidence: true, Last: obs.Quantiles{P50: 0.1, P95: 0.3, P99: 0.4, Count: 7}},
 		},
 		Scrapes:      2,
 		AlertSeen:    true,

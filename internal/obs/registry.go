@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/rfid-lion/lion/internal/stats"
 )
@@ -90,8 +91,8 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 
 // Histogram returns the histogram with this name, creating it on first use
 // with the given bucket upper bounds (nil means DefBuckets). Besides the
-// cumulative Prometheus buckets it keeps a bounded window of recent raw
-// observations for quantile queries.
+// cumulative Prometheus buckets it keeps a time-windowed stats.Hist for
+// quantile queries.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.register(name, newHistogram(name, help, buckets)).(*Histogram)
 }
@@ -317,26 +318,36 @@ var DefBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// quantileWindow bounds the recent raw observations kept per histogram for
-// quantile queries.
-const quantileWindow = 1024
+// quantileInterval is the rotation period of every histogram's quantile
+// window. Quantiles describe the observations of the current and the previous
+// interval — the last 5–10 s — whatever the rate, so a /v1/slo read means the
+// same thing at 50k samples/s as at idle.
+const quantileInterval = 5 * time.Second
 
 // Histogram counts observations into cumulative buckets (exact Prometheus
-// histogram exposition) and additionally retains a bounded window of recent
-// raw values so callers can read interpolated quantiles without a scrape.
+// histogram exposition) and additionally records them into a time-windowed
+// stats.Hist so callers can read recent quantiles without a scrape. The
+// Prometheus buckets, Count and Sum cover the histogram's lifetime.
 type Histogram struct {
 	mu     sync.Mutex
 	upper  []float64 // ascending bucket upper bounds; +Inf is implicit
 	counts []uint64  // per-bucket (non-cumulative) counts; last is +Inf
 	sum    float64
 	count  uint64
-	window *stats.Recorder
+	// The quantile window: win[cur] holds the interval that began at
+	// rotated, win[cur^1] the interval before it.
+	cur     int
+	rotated time.Time
+	now     func() time.Time // time.Now; tests substitute a fake clock
 	// exemplars holds the latest sampled observation per bucket (parallel to
 	// counts), allocated lazily on the first ObserveExemplar with a sampled
 	// context so exemplar-free histograms pay nothing.
 	exemplars []exemplar
 	name      string
 	help      string
+	// win comes last so the garbage collector's pointer scan of a Histogram
+	// stops before its pointer-free 14 KB.
+	win [2]stats.Hist
 }
 
 // exemplar is the last sampled observation that landed in one bucket,
@@ -357,23 +368,21 @@ func newHistogram(name, help string, buckets []float64) *Histogram {
 	copy(upper, buckets)
 	sort.Float64s(upper)
 	return &Histogram{
-		upper:  upper,
-		counts: make([]uint64, len(upper)+1),
-		window: stats.NewRecorder(quantileWindow),
-		name:   name,
-		help:   help,
+		upper:   upper,
+		counts:  make([]uint64, len(upper)+1),
+		rotated: time.Now(),
+		now:     time.Now,
+		name:    name,
+		help:    help,
 	}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	now := h.now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.upper, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.window.Add(v)
+	h.observeLocked(v, now)
 }
 
 // ObserveExemplar records one value and, when the context is sampled,
@@ -382,13 +391,10 @@ func (h *Histogram) Observe(v float64) {
 // an unsampled context this is exactly Observe — no exemplar state is touched
 // and nothing is allocated.
 func (h *Histogram) ObserveExemplar(v float64, tc TraceContext) {
+	now := h.now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.upper, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.window.Add(v)
+	i := h.observeLocked(v, now)
 	if !tc.Sampled {
 		return
 	}
@@ -396,6 +402,33 @@ func (h *Histogram) ObserveExemplar(v float64, tc TraceContext) {
 		h.exemplars = make([]exemplar, len(h.counts))
 	}
 	h.exemplars[i] = exemplar{traceID: tc.ID, value: v, valid: true}
+}
+
+// observeLocked records v, read from the clock at now, and returns its
+// Prometheus bucket index. Caller holds h.mu.
+func (h *Histogram) observeLocked(v float64, now time.Time) int {
+	i := sort.SearchFloat64s(h.upper, v)
+	h.counts[i]++
+	h.sum += v
+	h.count++
+	h.rotateLocked(now)
+	h.win[h.cur].Record(v)
+	return i
+}
+
+// rotateLocked advances the quantile window to the interval holding now,
+// dropping intervals that have fallen out of it. Caller holds h.mu.
+func (h *Histogram) rotateLocked(now time.Time) {
+	steps := now.Sub(h.rotated) / quantileInterval
+	if steps < 1 {
+		return
+	}
+	h.rotated = h.rotated.Add(steps * quantileInterval)
+	h.cur ^= 1
+	h.win[h.cur].Reset()
+	if steps > 1 {
+		h.win[h.cur^1].Reset()
+	}
 }
 
 // Count returns the total number of observations.
@@ -412,29 +445,44 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile returns the interpolated p-th percentile (p in [0, 100]) over the
-// retained window of recent observations. ok is false when nothing has been
-// observed yet.
-func (h *Histogram) Quantile(p float64) (v float64, ok bool) {
+// Window returns a copy of the quantile window: every observation of the
+// current and the previous rotation interval.
+func (h *Histogram) Window() *stats.Hist {
+	now := h.now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.window.Percentile(p)
+	h.rotateLocked(now)
+	w := h.win[h.cur]
+	w.Merge(&h.win[h.cur^1])
+	return &w
 }
 
-// WindowMean returns the mean of the retained window, or 0 when empty.
-func (h *Histogram) WindowMean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.window.Mean()
+// Quantile returns the q-th quantile (q in [0, 1]) of the window. ok is
+// false when the window is empty or q is out of range.
+func (h *Histogram) Quantile(q float64) (v float64, ok bool) {
+	return h.Window().Quantile(q)
 }
 
-// WindowSnapshot returns a copy of the retained recent observations in
-// insertion order (oldest first), or nil when empty — the raw series behind
-// Quantile, which dashboards render as sparklines.
-func (h *Histogram) WindowSnapshot() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.window.Snapshot()
+// Quantiles is one latency dimension of a /v1/slo document — liond serves
+// one per histogram, lionroute one per exactly merged cluster dimension: the
+// window's p50/p95/p99 and observation count, plus the window itself so a
+// consumer can merge dimensions exactly. An empty window reports zeros,
+// which consumers read as "no evidence".
+type Quantiles struct {
+	P50   float64     `json:"p50"`
+	P95   float64     `json:"p95"`
+	P99   float64     `json:"p99"`
+	Count uint64      `json:"count"`
+	Hist  *stats.Hist `json:"hist"`
+}
+
+// QuantilesOf summarises a window as one /v1/slo dimension.
+func QuantilesOf(w *stats.Hist) Quantiles {
+	q := Quantiles{Count: w.Count(), Hist: w}
+	q.P50, _ = w.Quantile(0.50)
+	q.P95, _ = w.Quantile(0.95)
+	q.P99, _ = w.Quantile(0.99)
+	return q
 }
 
 func (h *Histogram) describe() (string, string, string) { return h.name, h.help, "histogram" }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRegistryConcurrentIncrement hammers one counter, one vec child, one
@@ -186,23 +187,112 @@ func TestRegistryRejectsBadName(t *testing.T) {
 	NewRegistry().Counter("lion test with spaces", "")
 }
 
+// fakeClock replaces h's clock with a manual one starting at the window's
+// current interval; advance it through the returned pointer.
+func fakeClock(h *Histogram) *time.Time {
+	now := h.rotated
+	h.now = func() time.Time { return now }
+	return &now
+}
+
+// TestHistogramQuantiles: Quantile takes a fraction in [0, 1] and reads the
+// window's stats.Hist, within its 1/32 relative resolution.
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
-	if _, ok := h.Quantile(50); ok {
+	if _, ok := h.Quantile(0.5); ok {
 		t.Error("empty histogram reported a quantile")
 	}
 	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+		h.Observe(float64(i) / 1000)
 	}
-	p50, ok := h.Quantile(50)
-	if !ok || p50 < 50 || p50 > 51 {
-		t.Errorf("p50 = %g ok=%v, want ~50.5", p50, ok)
+	for _, c := range []struct{ q, want float64 }{{0.5, 0.050}, {0.95, 0.095}, {0.99, 0.099}, {1, 0.100}} {
+		got, ok := h.Quantile(c.q)
+		if !ok || got < c.want || got > c.want*(1+1.0/32) {
+			t.Errorf("q=%v: %g ok=%v, want %g within 1/32", c.q, got, ok, c.want)
+		}
 	}
-	p99, ok := h.Quantile(99)
-	if !ok || p99 < 99 || p99 > 100 {
-		t.Errorf("p99 = %g ok=%v, want ~99", p99, ok)
+	if _, ok := h.Quantile(50); ok {
+		t.Error("a percentile-style argument was accepted")
 	}
-	if m := h.WindowMean(); m != 50.5 {
-		t.Errorf("window mean = %g, want 50.5", m)
+	if q := QuantilesOf(h.Window()); q.Count != 100 || q.Hist.Mean() != h.Sum()/100 {
+		t.Errorf("window summary %+v, want count 100 and the lifetime mean", q)
+	}
+}
+
+// TestHistogramWindowExpires: observations older than two rotation intervals
+// drop out of Quantile and of the /v1/slo count, while the lifetime Count
+// and Sum behind the Prometheus exposition keep them.
+func TestHistogramWindowExpires(t *testing.T) {
+	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+	clk := fakeClock(h)
+	h.Observe(0.5)
+	*clk = clk.Add(quantileInterval)
+	h.Observe(0.001)
+	if q := QuantilesOf(h.Window()); q.Count != 2 || q.P99 < 0.5 {
+		t.Fatalf("one interval later: %+v, want both observations", q)
+	}
+	*clk = clk.Add(quantileInterval)
+	if q := QuantilesOf(h.Window()); q.Count != 1 || q.P99 > 0.0011 {
+		t.Fatalf("two intervals later: %+v, want only the 1 ms observation", q)
+	}
+	*clk = clk.Add(3 * quantileInterval)
+	if _, ok := h.Quantile(0.5); ok {
+		t.Error("an idle window still reports a quantile")
+	}
+	if q := QuantilesOf(h.Window()); q.Count != 0 || q.P50 != 0 || q.P99 != 0 || q.Hist.Count() != 0 {
+		t.Errorf("idle window %+v, want explicit zeros", q)
+	}
+	if h.Count() != 2 || h.Sum() != 0.501 {
+		t.Errorf("lifetime count %d sum %g, want 2 and 0.501", h.Count(), h.Sum())
+	}
+}
+
+// TestHistogramWindowTailIsOrderFree: 200 slow observations among 10 000
+// fast ones inside one interval set the p99 whatever order they arrive in —
+// a bounded raw window would have evicted them when the fast ones came last.
+func TestHistogramWindowTailIsOrderFree(t *testing.T) {
+	const fast, slow, nFast, nSlow = 0.001, 0.2, 10000, 200
+	orders := map[string]func(i int) bool{ // is observation i slow?
+		"slow first":  func(i int) bool { return i < nSlow },
+		"slow last":   func(i int) bool { return i >= nFast },
+		"interleaved": func(i int) bool { return i%((nFast+nSlow)/nSlow) == 0 },
+	}
+	for name, isSlow := range orders {
+		h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+		fakeClock(h)
+		for i := 0; i < nFast+nSlow; i++ {
+			v := fast
+			if isSlow(i) {
+				v = slow
+			}
+			h.Observe(v)
+		}
+		if p99, _ := h.Quantile(0.99); p99 < slow {
+			t.Errorf("%s: p99 = %g, want the slow %g", name, p99, slow)
+		}
+		if p50, _ := h.Quantile(0.5); p50 > fast*1.04 {
+			t.Errorf("%s: p50 = %g, want the fast %g", name, p50, fast)
+		}
+	}
+}
+
+// TestHistogramObserveZeroAllocsAcrossRotation: rotating the window is part
+// of the observe path and must not allocate either.
+func TestHistogramObserveZeroAllocsAcrossRotation(t *testing.T) {
+	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+	clk := fakeClock(h)
+	tc := TraceContext{ID: 7, Sampled: true}
+	h.ObserveExemplar(0.01, tc) // allocates the exemplar slice once
+	allocs := testing.AllocsPerRun(200, func() {
+		*clk = clk.Add(quantileInterval / 3)
+		h.Observe(0.01)
+		h.ObserveExemplar(0.02, tc)
+		h.ObserveExemplar(0.03, TraceContext{})
+	})
+	if allocs != 0 {
+		t.Errorf("observe across rotations allocated %.1f times per run, want 0", allocs)
+	}
+	if q := QuantilesOf(h.Window()); q.Count == 0 || q.Count > 3*7 {
+		t.Errorf("window count %d after many rotations, want at most two intervals' worth", q.Count)
 	}
 }

@@ -1,14 +1,19 @@
 package stats
 
-import "math"
+import (
+	"encoding/json"
+	"errors"
+	"math"
+)
 
 // Hist is an HDR-style log-linear histogram for latency-like positive
 // values, built for high-rate recording: Record is a handful of integer
 // operations into a fixed bucket array — no allocation, no sorting, no
-// sampling window to overflow — so a load generator can record hundreds of
+// sample buffer to overflow — so a load generator can record hundreds of
 // thousands of observations per second without the measurement distorting
-// the workload it measures (the obs.Histogram keeps a bounded raw window
-// and takes a lock per observation; fine for a daemon, wrong for a blaster).
+// the workload it measures. It is also the quantile estimator behind every
+// obs.Histogram window, and its JSON form (MarshalJSON) is how /v1/slo
+// ships a window to the router for an exact cluster merge.
 //
 // Layout: values are bucketed into octaves (powers of two) starting at
 // histMin, each octave split into histSub linear sub-buckets, giving a
@@ -41,12 +46,18 @@ const (
 	histOctaves = 28
 	// histBuckets adds the underflow (index 0) and overflow (last) buckets.
 	histBuckets = histOctaves*histSub + 2
+	// histTop is the upper bound of the last regular octave; +Inf
+	// observations are recorded as histTop so sum and max stay finite.
+	histTop = histMin * (1 << histOctaves)
 )
 
 // histIndex maps a value to its bucket index.
 func histIndex(v float64) int {
 	if v < histMin {
 		return 0
+	}
+	if v >= histTop {
+		return histBuckets - 1
 	}
 	// frac in [0.5, 1), exp such that v = frac × 2^exp.
 	frac, exp := math.Frexp(v / histMin)
@@ -70,7 +81,7 @@ func histBound(i int) float64 {
 		return histMin
 	}
 	if i >= histBuckets-1 {
-		return histMin * math.Exp2(histOctaves)
+		return histTop
 	}
 	i--
 	o, sub := i/histSub, i%histSub
@@ -80,14 +91,19 @@ func histBound(i int) float64 {
 
 // Record adds one observation. Negative and NaN values are recorded as the
 // minimum resolvable value (they indicate a clock anomaly, not a latency,
-// and must not poison the distribution with NaN).
+// and must not poison the distribution with NaN); +Inf lands in the
+// overflow bucket as the top bound, so every Hist stays finite and
+// JSON-encodable.
 func (h *Hist) Record(v float64) {
-	if math.IsNaN(v) || v < 0 {
+	switch {
+	case math.IsNaN(v) || v < 0:
 		v = 0
+	case math.IsInf(v, 1):
+		v = histTop
 	}
 	h.counts[histIndex(v)]++
 	h.count++
-	h.sum += v
+	h.sum = satAdd(h.sum, v)
 	if h.count == 1 || v > h.max {
 		h.max = v
 	}
@@ -99,7 +115,7 @@ func (h *Hist) Record(v float64) {
 // Count returns the number of recorded observations.
 func (h *Hist) Count() uint64 { return h.count }
 
-// Sum returns the sum of recorded observations.
+// Sum returns the sum of recorded observations, saturating at MaxFloat64.
 func (h *Hist) Sum() float64 { return h.sum }
 
 // Mean returns the mean observation, or 0 when empty.
@@ -169,10 +185,75 @@ func (h *Hist) Merge(other *Hist) {
 		h.min = other.min
 	}
 	h.count += other.count
-	h.sum += other.sum
+	h.sum = satAdd(h.sum, other.sum)
 }
+
+// satAdd adds two non-negative sums, saturating at MaxFloat64 so a Hist's
+// sum stays finite (and JSON-encodable) whatever it records or merges.
+func satAdd(a, b float64) float64 { return math.Min(a+b, math.MaxFloat64) }
 
 // Reset returns the histogram to its empty state without releasing memory.
 func (h *Hist) Reset() {
 	*h = Hist{}
+}
+
+// histJSON is the wire form of a Hist: the exact summary statistics plus the
+// non-empty buckets as [index, count] pairs in ascending index order.
+type histJSON struct {
+	Count   uint64      `json:"count"`
+	Sum     float64     `json:"sum"`
+	Min     float64     `json:"min"`
+	Max     float64     `json:"max"`
+	Buckets [][2]uint64 `json:"buckets"`
+}
+
+// MarshalJSON encodes the histogram compactly:
+// {"count","sum","min","max","buckets":[[index,count],...]}, listing only
+// the non-empty buckets. Decoding it back yields an identical Hist.
+func (h *Hist) MarshalJSON() ([]byte, error) {
+	w := histJSON{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: [][2]uint64{}}
+	for i, c := range h.counts {
+		if c != 0 {
+			w.Buckets = append(w.Buckets, [2]uint64{uint64(i), c})
+		}
+	}
+	return json.Marshal(w)
+}
+
+var errHistJSON = errors.New("stats: malformed hist")
+
+// UnmarshalJSON decodes and validates the wire form, which may come from
+// another process: bucket indices must be in range and strictly ascending,
+// bucket counts non-zero and summing to count, sum/min/max finite and
+// non-negative (and zero when count is), and min no larger than max. On
+// error h is left unchanged.
+func (h *Hist) UnmarshalJSON(data []byte) error {
+	var w histJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	for _, v := range [...]float64{w.Sum, w.Min, w.Max} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return errHistJSON
+		}
+	}
+	if w.Min > w.Max || (w.Count == 0 && (w.Sum != 0 || w.Max != 0)) {
+		return errHistJSON
+	}
+	var out Hist
+	var total uint64
+	for k, b := range w.Buckets {
+		i, c := b[0], b[1]
+		if i >= histBuckets || (k > 0 && i <= w.Buckets[k-1][0]) || c == 0 || total+c < total {
+			return errHistJSON
+		}
+		out.counts[i] = c
+		total += c
+	}
+	if total != w.Count {
+		return errHistJSON
+	}
+	out.count, out.sum, out.min, out.max = w.Count, w.Sum, w.Min, w.Max
+	*h = out
+	return nil
 }

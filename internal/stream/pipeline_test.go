@@ -102,6 +102,57 @@ func TestTracedIngestPublishesSpansAndSLOs(t *testing.T) {
 	}
 }
 
+// TestStalenessSeriesKeepsNewest: the per-tag staleness ring wraps — after
+// 200 estimates StalenessSeries returns the newest 128, oldest first.
+func TestStalenessSeriesKeepsNewest(t *testing.T) {
+	trace, lambda := testTrace(t, 5)
+	e, err := New(incrConfig(t, lambda, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	ctx := context.Background()
+	tagged := func(i int) []Tagged {
+		s := trace[i]
+		return []Tagged{{Tag: "T1", Sample: Sample{Time: s.Time, Pos: s.TagPos, Phase: s.Phase}}}
+	}
+	// Below MinSamples nothing solves, so the series starts empty.
+	const warm = 7
+	for i := 0; i < warm; i++ {
+		if _, _, err := e.IngestTagged(tagged(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.StalenessSeries("T1"); got != nil {
+		t.Fatalf("series before the first estimate = %v", got)
+	}
+	// Estimate k (1-based) is stamped with an origin k seconds in the past,
+	// so its staleness reads k seconds plus the solve time.
+	const estimates = 200
+	for k := 1; k <= estimates; k++ {
+		origin := time.Now().Add(-time.Duration(k) * time.Second)
+		if _, _, err := e.IngestTaggedTraced(tagged(warm+k-1), obs.TraceContext{}, origin); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := e.StalenessSeries("T1")
+	if len(series) != stalenessSeriesCap {
+		t.Fatalf("series holds %d values, want %d", len(series), stalenessSeriesCap)
+	}
+	for i, v := range series {
+		want := float64(estimates - stalenessSeriesCap + 1 + i)
+		if v < want || v > want+0.5 {
+			t.Fatalf("series[%d] = %.3f s, want estimate %.0f's ~%.0f s (series %v)", i, v, want, want, series)
+		}
+	}
+}
+
 // TestUntracedZeroAllocs is the PR's carrying constraint at the engine layer:
 // with a span log configured but sampling off, the complete pipeline step —
 // batched ingest, dispatch, incremental solve, SLO observation, publication —

@@ -15,7 +15,6 @@ import (
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/health"
 	"github.com/rfid-lion/lion/internal/obs"
-	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // Errors returned by the stream engine.
@@ -208,7 +207,8 @@ type Metrics struct {
 	SolveErrors     uint64
 	QueueDepth      int // solve jobs queued behind the workers
 
-	// Solve latency over the recent window (last 1024 solves), seconds.
+	// Solve latency over the solve-latency histogram's quantile window (the
+	// last 5–10 s of solves), seconds.
 	LatencyCount uint64
 	LatencyMean  float64
 	LatencyP50   float64
@@ -260,6 +260,31 @@ type Engine struct {
 // dashboard sparkline.
 const stalenessSeriesCap = 128
 
+// staleRing is a tag's most recent stalenessSeriesCap staleness values
+// (seconds); add overwrites the oldest once the ring is full.
+type staleRing struct {
+	v [stalenessSeriesCap]float64
+	n uint64 // values ever added
+}
+
+func (r *staleRing) add(x float64) {
+	r.v[r.n%stalenessSeriesCap] = x
+	r.n++
+}
+
+// series returns the retained values oldest first, or nil when empty.
+func (r *staleRing) series() []float64 {
+	n := min(r.n, stalenessSeriesCap)
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.v[(r.n-n+uint64(i))%stalenessSeriesCap]
+	}
+	return out
+}
+
 // session is the per-tag state: the ring-buffered window plus dispatch
 // book-keeping. All fields are guarded by the engine mutex, except solver,
 // which is written once at session creation and thereafter touched only by
@@ -285,9 +310,9 @@ type session struct {
 	tc       obs.TraceContext
 	origin   time.Time
 	accepted time.Time
-	// stale is the per-tag recent staleness series (seconds), feeding the
-	// dashboard sparkline. Allocated once at session creation; Add is free.
-	stale *stats.Recorder
+	// stale is the per-tag recent staleness series, feeding the dashboard
+	// sparkline.
+	stale staleRing
 }
 
 // snapshot is one frozen window awaiting a solve. Snapshots are pooled on the
@@ -515,7 +540,6 @@ func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin,
 			tag:    tag,
 			buf:    make([]Sample, e.cfg.WindowSize),
 			solver: e.cfg.SolverFactory(),
-			stale:  stats.NewRecorder(stalenessSeriesCap),
 		}
 		e.sessions[tag] = sess
 	}
@@ -603,7 +627,7 @@ func (e *Engine) StalenessSeries(tag string) []float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if sess := e.sessions[tag]; sess != nil {
-		return sess.stale.Snapshot()
+		return sess.stale.series()
 	}
 	return nil
 }
@@ -658,14 +682,12 @@ func (e *Engine) Metrics() Metrics {
 		Solves:          e.solves.Value(),
 		SolveErrors:     e.solveErrors.Value(),
 		QueueDepth:      e.pool.Len(),
-		LatencyCount:    e.latency.Count(),
 	}
-	if m.LatencyCount > 0 {
-		m.LatencyMean = e.latency.WindowMean()
-		m.LatencyP50, _ = e.latency.Quantile(50)
-		m.LatencyP90, _ = e.latency.Quantile(90)
-		m.LatencyP99, _ = e.latency.Quantile(99)
-	}
+	w := e.latency.Window()
+	m.LatencyCount, m.LatencyMean = w.Count(), w.Mean()
+	m.LatencyP50, _ = w.Quantile(0.50)
+	m.LatencyP90, _ = w.Quantile(0.90)
+	m.LatencyP99, _ = w.Quantile(0.99)
 	return m
 }
 
@@ -862,7 +884,7 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			stale = 0
 		}
 		e.staleness.ObserveExemplar(stale.Seconds(), snap.tc)
-		sess.stale.Add(stale.Seconds())
+		sess.stale.add(stale.Seconds())
 	}
 	if l := e.cfg.Spans; l != nil && snap.tc.Sampled {
 		if est.QueueWait > 0 {

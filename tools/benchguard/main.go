@@ -12,6 +12,10 @@
 //   - ns_per_op is guarded only for the names listed with -ns (wall clock is
 //     noisy; the guarded list holds the benchmarks whose latency is a
 //     product requirement).
+//   - Two snapshots that both carry benchmarks must come from the same
+//     go_version, goos, goarch and gomaxprocs: allocation counts shift with
+//     GOMAXPROCS and the toolchain, so unlike environments are a finding,
+//     not a comparison.
 //   - Macro SLO fields (the "macro" section lionload merges into a
 //     snapshot) are guarded against their declared targets, not against the
 //     previous snapshot: a committed BENCH file whose measured macro value
@@ -93,11 +97,25 @@ func run(args []string, stdout io.Writer) error {
 
 // compare returns one human-readable finding per violated micro rule.
 func compare(baseline, current *benchfmt.Snapshot, maxShift float64, guardNS map[string]bool) []string {
+	var findings []string
+	if len(baseline.Benchmarks) > 0 && len(current.Benchmarks) > 0 {
+		for _, f := range []struct{ name, base, cur string }{
+			{"go_version", baseline.GoVersion, current.GoVersion},
+			{"goos", baseline.GOOS, current.GOOS},
+			{"goarch", baseline.GOARCH, current.GOARCH},
+			{"gomaxprocs", fmt.Sprint(baseline.MaxProcs), fmt.Sprint(current.MaxProcs)},
+		} {
+			if f.base != f.cur {
+				findings = append(findings,
+					fmt.Sprintf("environment: %s %s, baseline %s (snapshots are not comparable)",
+						f.name, f.cur, f.base))
+			}
+		}
+	}
 	cur := map[string]benchfmt.Bench{}
 	for _, b := range current.Benchmarks {
 		cur[b.Name] = b
 	}
-	var findings []string
 	for _, base := range baseline.Benchmarks {
 		got, ok := cur[base.Name]
 		if !ok {

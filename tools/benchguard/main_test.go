@@ -71,6 +71,39 @@ func TestCompareMissingBenchmark(t *testing.T) {
 	}
 }
 
+// TestCompareEnvironmentMismatch: micro results from a different toolchain,
+// platform or GOMAXPROCS are a finding even when every number is in budget;
+// a snapshot without benchmarks (macro only) is not compared.
+func TestCompareEnvironmentMismatch(t *testing.T) {
+	env := func(goVersion, goos, goarch string, procs int, benchmarks ...benchfmt.Bench) *benchfmt.Snapshot {
+		s := snap(benchmarks...)
+		s.GoVersion, s.GOOS, s.GOARCH, s.MaxProcs = goVersion, goos, goarch, procs
+		return s
+	}
+	b := benchfmt.Bench{Name: "recal_solve", NsPerOp: 1000, AllocsPerOp: 104}
+	base := env("go1.24.0", "linux", "amd64", 1, b)
+	if f := compare(base, env("go1.24.0", "linux", "amd64", 1, b), 0.10, nil); len(f) != 0 {
+		t.Fatalf("like environments flagged: %v", f)
+	}
+	for _, c := range []struct {
+		field string
+		cur   *benchfmt.Snapshot
+	}{
+		{"go_version", env("go1.23.4", "linux", "amd64", 1, b)},
+		{"goos", env("go1.24.0", "darwin", "amd64", 1, b)},
+		{"goarch", env("go1.24.0", "linux", "arm64", 1, b)},
+		{"gomaxprocs", env("go1.24.0", "linux", "amd64", 2, b)},
+	} {
+		f := compare(base, c.cur, 0.10, nil)
+		if len(f) != 1 || !strings.Contains(f[0], c.field) {
+			t.Errorf("%s mismatch: want one environment finding, got %v", c.field, f)
+		}
+	}
+	if f := compare(base, env("go1.23.4", "linux", "amd64", 2), 0.10, nil); len(f) != 1 || !strings.Contains(f[0], "missing") {
+		t.Errorf("benchmark-free current snapshot: want only the missing finding, got %v", f)
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
