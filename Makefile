@@ -2,7 +2,7 @@ GO ?= go
 
 ## BENCH_BASELINE: the committed lionbench snapshot bench-guard compares
 ## against. Bump when a PR lands a new snapshot.
-BENCH_BASELINE ?= BENCH_10.json
+BENCH_BASELINE ?= BENCH_14.json
 
 .PHONY: check fmt vet build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint
 
@@ -74,8 +74,8 @@ load-smoke:
 	$(GO) test ./cmd/lionload -run TestLoadSmokeLiond -count=1 -v
 
 ## fuzz: short fuzzing passes over the phase-wrap, unwrap, preprocessing,
-## ingest decoding, and histogram wire-form invariants (their seed corpora
-## also run in every plain `go test`).
+## ingest decoding, histogram wire-form, and fused IRWLS reweight-step
+## invariants (their seed corpora also run in every plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
 	$(GO) test -run '^$$' -fuzz FuzzUnwrap -fuzztime 30s ./internal/dsp
@@ -83,3 +83,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIngestDecode -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzHistJSON -fuzztime 30s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzReweightEquivalence -fuzztime 30s ./internal/mat

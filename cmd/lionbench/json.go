@@ -20,6 +20,7 @@ import (
 	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/health"
+	"github.com/rfid-lion/lion/internal/load"
 	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stats"
@@ -80,6 +81,28 @@ func benchIngestBatch() []dataset.TaggedSample {
 	return batch
 }
 
+// portalWindows returns one 256-sample window per tag of the portal load
+// fleet (seed 1), the windows liond solves with its defaults.
+func portalWindows() [][]stream.Sample {
+	sc, err := load.Lookup("portal")
+	if err != nil {
+		panic(err) // built-in scenario; cannot fail
+	}
+	fleet, err := load.BuildFleet(sc, 1)
+	if err != nil {
+		panic(err)
+	}
+	const window = 256
+	nt := fleet.Tags()
+	buf := make([]dataset.TaggedSample, nt*window)
+	fleet.Fill(buf, 0)
+	wins := make([][]stream.Sample, nt)
+	for i, s := range buf {
+		wins[i%nt] = append(wins[i%nt], stream.FromSim(s.Sample()))
+	}
+	return wins
+}
+
 // benchSuite enumerates the tracked micro-benchmarks. Names are stable
 // identifiers: comparisons across snapshots key on them.
 func benchSuite() []struct {
@@ -112,9 +135,24 @@ func benchSuite() []struct {
 				}
 			}
 		}},
+		{"window_solve_portal", func(b *testing.B) {
+			// One liond default window solve per op: stream.SolveWindow
+			// with the 9-sample smoother and the line solver at a 0.2 m
+			// interval, over 256-sample windows of the portal fleet (one
+			// window per tag, cycled) — the solve every ingest cadence
+			// triggers on a serving node.
+			wins := portalWindows()
+			solver := stream.Line2DSolver(lambda, []float64{0.2}, true, opts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := stream.SolveWindow(wins[i%len(wins)], 9, solver, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"solve_system_ws", func(b *testing.B) {
-			// The workspace solve over the same reduced line system that
-			// locate_2d_line assembles per call: steady-state re-solves of a
+			// The workspace solve over the line system BuildSystem assembles
+			// from locate_2d_line's input: steady-state re-solves of a
 			// fixed-shape system must be allocation-free.
 			prof, err := core.NewProfile(lineObs, lambda)
 			if err != nil {

@@ -54,16 +54,24 @@ type LineSessionStats struct {
 	IncrementalUpdates int
 }
 
-// LineSession is the incremental form of Locate2DLineIntervals for sliding
-// windows: a stateful solver that recognises when the current window is the
-// previous one slid forward (samples evicted at the front, appended at the
-// back) and reuses the previous window's pair rows and normal-equation
-// factorization instead of rebuilding the system from scratch.
+// LineSession is the line solver of Sec. III-C-1 for sliding windows: a
+// stateful solver that recognises when the current window is the previous
+// one slid forward (samples evicted at the front, appended at the back) and
+// reuses the previous window's pair rows and normal-equation factorization
+// instead of rebuilding the system from scratch.
+//
+// A rebuild anchors a local line frame at the window midpoint, scans the
+// separation pairs, accumulates their reduced [α, ω] rows straight into the
+// normal equations, solves, refines with IRWLS, and recovers the
+// perpendicular coordinate as the quickselect median of the per-sample
+// discriminants (the same order statistics a full sort would pick).
 //
 // Equivalence contract:
 //
 //   - A rebuild solve (the first call, or any call where slide detection
-//     fails) is bit-identical to Locate2DLineIntervals on the same window.
+//     fails) is bit-identical to Locate2DLineIntervals on the same window by
+//     construction: Locate2DLineIntervals is a rebuild solve on a pooled
+//     session.
 //   - A slide solve agrees with Locate2DLineIntervals to within ~1e-9 on
 //     Position for well-conditioned windows of collinear samples in a
 //     z = const plane. Two effects contribute the difference: the session
@@ -118,27 +126,46 @@ type LineSession struct {
 // NewLineSession returns an incremental sliding-window solver with the same
 // parameters as Locate2DLineIntervals. The intervals are copied.
 func NewLineSession(lambda float64, intervals []float64, positiveSide bool) (*LineSession, error) {
+	if err := checkLineParams(lambda, intervals); err != nil {
+		return nil, err
+	}
+	s := &LineSession{}
+	s.configure(lambda, intervals, positiveSide)
+	return s, nil
+}
+
+// checkLineParams validates the parameters shared by NewLineSession and
+// Locate2DLineIntervals.
+func checkLineParams(lambda float64, intervals []float64) error {
 	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return nil, ErrBadLambda
+		return ErrBadLambda
 	}
 	if len(intervals) == 0 {
-		return nil, fmt.Errorf("core: at least one interval required")
+		return fmt.Errorf("core: at least one interval required")
 	}
 	for _, iv := range intervals {
 		if iv <= 0 {
-			return nil, fmt.Errorf("core: interval %v must be positive", iv)
+			return fmt.Errorf("core: interval %v must be positive", iv)
 		}
 	}
-	s := &LineSession{
-		lambda:       lambda,
-		intervals:    append([]float64(nil), intervals...),
-		positiveSide: positiveSide,
-	}
+	return nil
+}
+
+// configure (re)parameterises the session, copying the intervals into
+// session-owned storage and keeping its scratch buffers, and drops the
+// anchor so the next solve rebuilds.
+func (s *LineSession) configure(lambda float64, intervals []float64, positiveSide bool) {
+	s.lambda = lambda
+	s.intervals = append(s.intervals[:0], intervals...)
+	s.positiveSide = positiveSide
 	s.prof.Lambda = lambda
-	s.pairs = make([][]linePair, len(intervals))
-	s.next = make([][]linePair, len(intervals))
-	s.ne.Reset(2)
-	return s, nil
+	n := len(intervals)
+	if cap(s.pairs) < n {
+		s.pairs = make([][]linePair, n)
+		s.next = make([][]linePair, n)
+	}
+	s.pairs, s.next = s.pairs[:n], s.next[:n]
+	s.valid = false
 }
 
 // Stats returns the session's work counters.
@@ -182,6 +209,12 @@ func (s *LineSession) Locate(win []PosPhase, opts SolveOptions, sol *Solution) e
 			return err
 		}
 	}
+	return s.finish(opts, sol)
+}
+
+// finish solves the session's current system into sol, recovers the
+// perpendicular coordinate, and maps the estimate into world coordinates.
+func (s *LineSession) finish(opts SolveOptions, sol *Solution) error {
 	if err := s.solve(opts, sol); err != nil {
 		return err
 	}
@@ -259,9 +292,8 @@ func (s *LineSession) trySlide(win []PosPhase) bool {
 	return true
 }
 
-// rebuild re-anchors the session on win, exactly as Locate2DLineIntervals
-// sets up a fresh solve: origin at the window midpoint, û from first to last
-// sample, reference sample at the midpoint index.
+// rebuild re-anchors the session on win: origin at the window midpoint, û
+// from first to last sample, reference sample at the midpoint index.
 func (s *LineSession) rebuild(win []PosPhase, dir geom.Vec2) error {
 	for i, o := range win {
 		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
@@ -373,7 +405,8 @@ func (s *LineSession) diffPairs() {
 // mirroring SolveSystem's degeneracy checks and IRLS loop, with the initial
 // factorization served incrementally by the normal equations.
 func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.Span(opts.traceSpan())()
+	span := opts.Trace.SpanAt(opts.traceSpan())
+	defer span.End()
 	nPairs := 0
 	for _, pl := range s.pairs {
 		nPairs += len(pl)

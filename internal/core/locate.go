@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/rfid-lion/lion/internal/dsp"
 	"github.com/rfid-lion/lion/internal/geom"
@@ -57,67 +58,44 @@ func Locate2DLine(obs []PosPhase, lambda float64, interval float64, positiveSide
 	return Locate2DLineIntervals(obs, lambda, []float64{interval}, positiveSide, opts)
 }
 
+// lineSessions recycles the sessions Locate2DLineIntervals rebuilds on, so a
+// one-shot solve reuses every system, factorization and median buffer of an
+// earlier one.
+var lineSessions = sync.Pool{New: func() any { return new(LineSession) }}
+
 // Locate2DLineIntervals is Locate2DLine with several pairing separations
 // combined into one system. Short pairs pin the along-track coordinate;
 // long pairs capture the curvature of the distance profile, which is what
 // determines d_r (and therefore the recovered perpendicular coordinate) at
 // large depth.
+//
+// It runs one LineSession rebuild solve on a session drawn from a
+// sync.Pool, so it is safe for concurrent use and bit-identical to a
+// session's rebuild path. obs is only read. The returned Solution is fresh
+// and owned by the caller; it is the only allocation of a successful solve
+// besides its three slices.
 func Locate2DLineIntervals(obs []PosPhase, lambda float64, intervals []float64, positiveSide bool, opts SolveOptions) (*Solution, error) {
 	if len(obs) < 4 {
 		return nil, ErrTooFewObservations
 	}
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("core: at least one interval required")
-	}
-	for _, iv := range intervals {
-		if iv <= 0 {
-			return nil, fmt.Errorf("core: interval %v must be positive", iv)
-		}
+	if err := checkLineParams(lambda, intervals); err != nil {
+		return nil, err
 	}
 	first, last := obs[0].Pos.XY(), obs[len(obs)-1].Pos.XY()
 	dir := last.Sub(first)
 	if dir.Norm() == 0 {
 		return nil, ErrDegenerateGeometry
 	}
-	u := dir.Unit()
-	v := u.Perp()
-	origin := obs[len(obs)/2].Pos
-
-	local := make([]PosPhase, len(obs))
-	positions := make([]geom.Vec3, len(obs))
-	for i, o := range obs {
-		pu := o.Pos.XY().Sub(origin.XY()).Dot(u)
-		local[i] = PosPhase{Pos: geom.V3(pu, 0, 0), Theta: o.Theta}
-		positions[i] = local[i].Pos
-	}
-	var pairs []Pair
-	for _, iv := range intervals {
-		pairs = append(pairs, SeparationPairs(positions, iv)...)
-	}
-	if len(pairs) < 3 {
-		return nil, fmt.Errorf("core: intervals %v leave %d pairs: %w",
-			intervals, len(pairs), ErrTooFewObservations)
-	}
-	p, err := NewProfile(local, lambda)
-	if err != nil {
+	s := lineSessions.Get().(*LineSession)
+	defer lineSessions.Put(s)
+	s.configure(lambda, intervals, positiveSide)
+	if err := s.rebuild(obs, dir); err != nil {
 		return nil, err
 	}
-	sys, err := BuildSystem(p, pairs, 2)
-	if err != nil {
+	sol := &Solution{}
+	if err := s.finish(opts, sol); err != nil {
 		return nil, err
 	}
-	sol, err := SolveSystem(sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := sol.RecoverMissingMedian(p, positiveSide); err != nil {
-		return nil, err
-	}
-	// Map the line-frame estimate back into world coordinates.
-	est := origin.XY().
-		Add(u.Scale(sol.Position.X)).
-		Add(v.Scale(sol.Position.Y))
-	sol.Position = est.XYZ(origin.Z)
 	return sol, nil
 }
 

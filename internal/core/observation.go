@@ -44,15 +44,32 @@ type PosPhase struct {
 // unwraps the modulo-2π jumps and optionally smooths with a centred
 // moving-average window (Sec. IV-A). A window of zero or one disables
 // smoothing; the window must be odd otherwise. Positions and phases must
-// have equal length.
+// have equal length. The returned profile is freshly allocated.
 func Preprocess(positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]PosPhase, error) {
+	var p Preprocessor
+	return p.Preprocess(positions, wrapped, smoothWindow)
+}
+
+// Preprocessor is the reusable-storage form of Preprocess, for callers that
+// preprocess window after window: once its buffers have grown to the window
+// size it preprocesses without heap allocations. The zero value is ready to
+// use; a Preprocessor must not be shared between goroutines.
+type Preprocessor struct {
+	theta, smoothed []float64
+	out             []PosPhase
+}
+
+// Preprocess is the package-level Preprocess — the same validation, the
+// same unwrap and smoothing arithmetic — writing into p's buffers. The
+// returned profile aliases p's storage and is valid until the next call.
+func (p *Preprocessor) Preprocess(positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]PosPhase, error) {
 	if len(positions) != len(wrapped) {
 		return nil, fmt.Errorf("core: %d positions vs %d phases: %w",
 			len(positions), len(wrapped), ErrTooFewObservations)
 	}
-	for i, p := range positions {
-		if !p.IsFinite() {
-			return nil, fmt.Errorf("core: position %d is %v: %w", i, p, ErrNonFiniteInput)
+	for i, pos := range positions {
+		if !pos.IsFinite() {
+			return nil, fmt.Errorf("core: position %d is %v: %w", i, pos, ErrNonFiniteInput)
 		}
 	}
 	for i, th := range wrapped {
@@ -60,19 +77,24 @@ func Preprocess(positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]P
 			return nil, fmt.Errorf("core: phase %d is %v: %w", i, th, ErrNonFiniteInput)
 		}
 	}
-	theta := dsp.Unwrap(wrapped)
+	p.theta = dsp.UnwrapInto(p.theta, wrapped)
+	theta := p.theta
 	if smoothWindow > 1 {
-		sm, err := dsp.MovingAverage(theta, smoothWindow)
+		sm, err := dsp.MovingAverageInto(p.smoothed, theta, smoothWindow)
 		if err != nil {
 			return nil, fmt.Errorf("smooth: %w", err)
 		}
+		p.smoothed = sm
 		theta = sm
 	}
-	out := make([]PosPhase, len(positions))
-	for i := range positions {
-		out[i] = PosPhase{Pos: positions[i], Theta: theta[i]}
+	if cap(p.out) < len(positions) {
+		p.out = make([]PosPhase, len(positions))
 	}
-	return out, nil
+	p.out = p.out[:len(positions)]
+	for i, pos := range positions {
+		p.out[i] = PosPhase{Pos: pos, Theta: theta[i]}
+	}
+	return p.out, nil
 }
 
 // Profile is a preprocessed measurement set ready for equation generation.

@@ -41,7 +41,8 @@ func growFloats(s []float64, n int) []float64 {
 // SolveSystem delegates here, which keeps the two entry points bit-identical
 // by construction.
 func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.Span(opts.traceSpan())()
+	span := opts.Trace.SpanAt(opts.traceSpan())
+	defer span.End()
 	numRefs := sys.NumRefs
 	if numRefs <= 0 {
 		numRefs = 1
@@ -132,11 +133,13 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 
 // irlsRefine runs the IRWLS refinement of Eqs. 14–16 over the reduced
 // system: weights exp(−d²/2) from standardised residuals, re-solve, repeat
-// until the iterate moves less than the tolerance. xp points at the
-// workspace-owned iterate and is updated in place (the slice may be
-// re-appended); weights must be pre-initialised to ones and is overwritten.
-// Both SolveSystemInto and the incremental LineSession route through this
-// one loop, which is what keeps their IRLS arithmetic identical.
+// until the iterate moves less than the tolerance. Each iteration is one
+// fused mat.Workspace.Reweight step. xp points at the workspace-owned
+// iterate and is updated in place (the slice may be re-appended); weights
+// must be pre-initialised to ones and is overwritten. Both SolveSystemInto
+// and the line session route through this one loop, which is what keeps
+// their IRLS arithmetic identical. The residual norm each trace event
+// carries is computed only when opts.Trace is set.
 func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 	weights []float64, opts SolveOptions, condEst float64) (int, error) {
 	iterations := 0
@@ -146,38 +149,27 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 	x := *xp
 	defer func() { *xp = x }()
 	for iterations < opts.maxIter() {
-		res, rerr := ls.Residuals(a, x, k)
-		if rerr != nil {
-			return iterations, fmt.Errorf("residuals: %w", rerr)
-		}
-		mu, sigma := stats.MeanStd(res)
-		if sigma == 0 {
-			break // exact fit: all weights stay 1
-		}
-		floorHits := 0
-		for i, r := range res {
-			d := (r - mu) / sigma
-			weights[i] = math.Exp(-d * d / 2) // Eq. 15
-			if weights[i] < WeightFloor {
-				floorHits++
+		rw, err := ls.Reweight(a, k, x, weights, WeightFloor)
+		if err != nil {
+			if errors.Is(err, mat.ErrSingular) {
+				return iterations, fmt.Errorf("%w: %v", ErrDegenerateGeometry, err)
 			}
+			return iterations, fmt.Errorf("weighted least squares: %w", err)
 		}
-		xNew, werr := ls.WeightedLeastSquares(a, k, weights)
-		if werr != nil {
-			if errors.Is(werr, mat.ErrSingular) {
-				return iterations, fmt.Errorf("%w: %v", ErrDegenerateGeometry, werr)
-			}
-			return iterations, fmt.Errorf("weighted least squares: %w", werr)
+		if rw.X == nil {
+			break // exact fit (σ = 0): all weights stay 1
 		}
 		iterations++
-		opts.Trace.IRLSIter(opts.traceSpan(), iterations, mat.Norm2(res), floorHits, condEst)
+		if opts.Trace != nil {
+			opts.Trace.IRLSIter(opts.traceSpan(), iterations, mat.Norm2(rw.Res), rw.FloorHits, condEst)
+		}
 		moved := 0.0
 		for i := range x {
-			if d := math.Abs(xNew[i] - x[i]); d > moved {
+			if d := math.Abs(rw.X[i] - x[i]); d > moved {
 				moved = d
 			}
 		}
-		x = append(x[:0], xNew...)
+		x = append(x[:0], rw.X...)
 		if moved < opts.tol() {
 			break
 		}

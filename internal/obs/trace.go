@@ -65,6 +65,18 @@ func NewTracer() *Tracer {
 	return &Tracer{start: time.Now()}
 }
 
+// Reset drops the recorded events, keeping their storage, and restarts the
+// clock, so one tracer can record solve after solve. Safe on a nil tracer.
+func (t *Tracer) Reset() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.events = t.events[:0]
+	t.start = time.Now()
+	t.mu.Unlock()
+}
+
 // Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 

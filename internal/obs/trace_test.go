@@ -19,6 +19,7 @@ func TestTracingZeroOverheadWhenNil(t *testing.T) {
 		tr.Candidate("adaptive", 0.8, 0.2, 1e-3, nil)
 		tr.Note("solve", "ignored")
 		end()
+		tr.Reset()
 		if tr.Enabled() || tr.Len() != 0 || tr.Events() != nil {
 			t.Fatal("nil tracer reported state")
 		}

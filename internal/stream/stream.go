@@ -44,9 +44,12 @@ type Sample struct {
 
 // Solver turns one window of preprocessed observations into an estimate.
 // Solvers must be pure functions of their input: the streamed-equals-offline
-// guarantee relies on it. The tracer is nil unless the engine's Monitor keeps
-// a flight recorder (or an offline caller passes one); solvers forward it into
-// core.SolveOptions so per-iteration solver events reach the trace.
+// guarantee relies on it. The window is valid only during the call —
+// SolveWindow reuses its storage afterwards — so a solver that needs the
+// observations later copies them; each call returns a fresh Solution. The
+// tracer is nil unless the engine's Monitor keeps a flight recorder (or an
+// offline caller passes one); solvers forward it into core.SolveOptions so
+// per-iteration solver events reach the trace.
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
 // SessionSolver is the stateful per-tag counterpart of Solver: it receives
@@ -124,8 +127,9 @@ type Config struct {
 	// Monitor, when non-nil, receives a health hook on every accepted
 	// sample, every drop, and every completed window solve. Nil keeps the
 	// solve path monitor-free at zero cost (one nil check). When the monitor
-	// keeps a flight recorder, every window solve runs under a fresh
-	// obs.Tracer and the recorder is the per-tag store of its events;
+	// keeps a flight recorder, every window solve runs under an obs.Tracer
+	// (one per pooled snapshot, reset per solve) and the recorder is the
+	// per-tag store of a copy of its events;
 	// otherwise solves pass a nil tracer, which costs nothing.
 	Monitor *health.Monitor
 	// Antenna labels this engine's samples for the monitor's per-antenna
@@ -327,6 +331,9 @@ type snapshot struct {
 	sv      solved
 	run     func(context.Context) (any, error)
 	done    func(batch.Outcome)
+	// tracer records this snapshot's traced solves; it is reset, not
+	// reallocated, per solve, since solved.trace takes a copy of its events.
+	tracer *obs.Tracer
 
 	// Profile pinned under e.mu when the window was frozen — the swap
 	// consistency barrier. The solve applies profOffset to its private
@@ -440,19 +447,33 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // window's estimate bit-identical to an offline solve of the same samples.
 // A nil tracer is free; a non-nil one records the solver's spans and
 // iteration events.
+//
+// The preprocessed window lives in pooled storage that is reused once the
+// solver returns (see Solver); the Solution is the solver's own.
 func SolveWindow(samples []Sample, smooth int, solver Solver, tr *obs.Tracer) (*core.Solution, error) {
-	positions := make([]geom.Vec3, len(samples))
-	phases := make([]float64, len(samples))
-	for i, s := range samples {
-		positions[i] = s.Pos
-		phases[i] = s.Phase
+	ws := windowScratchPool.Get().(*windowScratch)
+	defer windowScratchPool.Put(ws)
+	ws.positions = ws.positions[:0]
+	ws.phases = ws.phases[:0]
+	for _, s := range samples {
+		ws.positions = append(ws.positions, s.Pos)
+		ws.phases = append(ws.phases, s.Phase)
 	}
-	win, err := core.Preprocess(positions, phases, smooth)
+	win, err := ws.prep.Preprocess(ws.positions, ws.phases, smooth)
 	if err != nil {
 		return nil, err
 	}
 	return solver(win, tr)
 }
+
+// windowScratch is the storage one SolveWindow call preprocesses into.
+type windowScratch struct {
+	positions []geom.Vec3
+	phases    []float64
+	prep      core.Preprocessor
+}
+
+var windowScratchPool = sync.Pool{New: func() any { return new(windowScratch) }}
 
 // Ingest accepts one sample for the tag. Under RejectNewest it returns
 // ErrWindowFull when the window is full; under EvictOldest it never rejects a
@@ -814,7 +835,11 @@ func (snap *snapshot) solve(ctx context.Context) (any, error) {
 	e := snap.e
 	var tr *obs.Tracer
 	if e.traceSolves {
-		tr = obs.NewTracer()
+		if snap.tracer == nil {
+			snap.tracer = obs.NewTracer()
+		}
+		snap.tracer.Reset()
+		tr = snap.tracer
 	}
 	snap.applyProfile()
 	begin := time.Now()
