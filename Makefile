@@ -74,13 +74,16 @@ load-smoke:
 	$(GO) test ./cmd/lionload -run TestLoadSmokeLiond -count=1 -v
 
 ## fuzz: short fuzzing passes over the phase-wrap, unwrap, preprocessing,
-## ingest decoding, histogram wire-form, and fused IRWLS reweight-step
-## invariants (their seed corpora also run in every plain `go test`).
+## ingest decoding, histogram wire-form, percentile selection, fused IRWLS
+## reweight-step, and incremental normal-equation solve invariants (their
+## seed corpora also run in every plain `go test`).
 fuzz:
-	$(GO) test -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
+	$(GO) test -run '^$$' -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
 	$(GO) test -run '^$$' -fuzz FuzzUnwrap -fuzztime 30s ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzPreprocess -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzIngestDecode -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzHistJSON -fuzztime 30s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzReweightEquivalence -fuzztime 30s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzIncrementalSolveEquivalence -fuzztime 30s ./internal/mat

@@ -109,15 +109,11 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 		// parses it and parks the shard query-only (internal/cluster).
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "critical-alert"})
 	default:
-		doc := map[string]any{"status": "ready"}
-		if s.wireTrace {
-			// Advertise that POST /v1/samples decodes the FlagTrace wire
-			// extension. lionroute's health probe reads this field and only
-			// puts trace extensions on the wire to shards that opted in, so
-			// old decoders never see flagged frames.
-			doc["wire_trace"] = true
-		}
-		writeJSON(w, http.StatusOK, doc)
+		// wire_trace advertises that POST /v1/samples decodes the FlagTrace
+		// wire extension. lionroute's health probe reads this field and only
+		// puts trace extensions on the wire to shards that opted in, so old
+		// decoders never see flagged frames.
+		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "wire_trace": true})
 	}
 }
 

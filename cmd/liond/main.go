@@ -82,7 +82,6 @@ type config struct {
 	drain   time.Duration
 	cfg     stream.Config
 	monitor bool
-	wire    bool
 	health  health.Config
 
 	// traceSample samples 1 in N locally-originated ingest batches for
@@ -128,8 +127,6 @@ func parseFlags(args []string) (*config, error) {
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		monitor = fs.Bool("monitor", true,
 			"run the solve-health monitor (alerts, flight recorder, /v1/alerts)")
-		wireOK = fs.Bool("wire", true,
-			"accept binary wire frames (Content-Type "+wire.ContentType+") on POST /v1/samples")
 		antenna = fs.String("antenna", "A1",
 			"antenna id this daemon ingests for (alert scope and drift gauge label)")
 		calCenter = fs.String("cal-center", "",
@@ -249,7 +246,6 @@ func parseFlags(args []string) (*config, error) {
 		addr:    *addr,
 		drain:   *drain,
 		monitor: *monitor,
-		wire:    *wireOK,
 		health:  hcfg,
 
 		traceSample: *traceSample,
@@ -437,16 +433,14 @@ type server struct {
 	eng      *stream.Engine
 	mon      *health.Monitor   // nil when -monitor=false
 	ctrl     *recal.Controller // nil without -recal
-	codecs   []dataset.Codec   // ingest codecs; first is the fallback (NDJSON)
+	codecs   []dataset.Codec   // ingest codecs: NDJSON (the fallback) and wire
 	start    time.Time
 	draining atomic.Bool
 
-	// Pipeline tracing: the engine's span ring, the local 1-in-N sampler
-	// (nil without -trace-sample), and whether /readyz advertises FlagTrace
-	// decode capability to lionroute.
+	// Pipeline tracing: the engine's span ring and the local 1-in-N sampler
+	// (nil without -trace-sample).
 	spans        *obs.SpanLog
 	sampler      *obs.Sampler
-	wireTrace    bool
 	ingestDecode *obs.Histogram
 	ingestReq    *obs.Histogram
 }
@@ -454,15 +448,11 @@ type server struct {
 func newServer(eng *stream.Engine, mon *health.Monitor, ctrl *recal.Controller, cfg *config) *server {
 	s := &server{
 		eng: eng, mon: mon, ctrl: ctrl, start: time.Now(),
-		spans:     cfg.cfg.Spans,
-		wireTrace: cfg.wire,
+		spans:  cfg.cfg.Spans,
+		codecs: []dataset.Codec{dataset.NDJSON{}, wire.Codec{}},
 	}
 	if cfg.traceSample > 0 {
 		s.sampler = obs.NewSampler(cfg.traceSample, uint64(s.start.UnixNano()))
-	}
-	s.codecs = []dataset.Codec{dataset.NDJSON{}}
-	if cfg.wire {
-		s.codecs = append(s.codecs, wire.Codec{})
 	}
 	s.ingestDecode = eng.Registry().Histogram("lion_ingest_decode_seconds",
 		"Time decoding one POST /v1/samples body, wire or NDJSON.", obs.DefBuckets)

@@ -182,31 +182,22 @@ func TestLocalTraceSampling(t *testing.T) {
 }
 
 // TestReadyzAdvertisesWireTrace: the readiness document advertises FlagTrace
-// decode capability exactly when -wire is on — the negotiation bit lionroute's
-// probe consumes.
+// decode capability — the negotiation bit lionroute's probe consumes.
 func TestReadyzAdvertisesWireTrace(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want bool
-	}{
-		{nil, true},
-		{[]string{"-wire=false"}, false},
-	} {
-		s := traceServer(t, tc.args...)
-		rec := httptest.NewRecorder()
-		s.routes().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("readyz status %d", rec.Code)
-		}
-		var doc struct {
-			Status    string `json:"status"`
-			WireTrace bool   `json:"wire_trace"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-			t.Fatal(err)
-		}
-		if doc.Status != "ready" || doc.WireTrace != tc.want {
-			t.Errorf("readyz %v = %+v, want ready/%v", tc.args, doc, tc.want)
-		}
+	s := traceServer(t)
+	rec := httptest.NewRecorder()
+	s.routes().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("readyz status %d", rec.Code)
+	}
+	var doc struct {
+		Status    string `json:"status"`
+		WireTrace bool   `json:"wire_trace"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Status != "ready" || !doc.WireTrace {
+		t.Errorf("readyz = %+v, want ready/wire_trace", doc)
 	}
 }

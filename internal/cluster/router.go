@@ -54,8 +54,7 @@ type Options struct {
 	// Registry receives the lion_cluster_* metrics; nil means a private one.
 	Registry *obs.Registry
 	// Codec encodes forwarded batches; nil means the binary wire codec.
-	// Shards must accept the chosen codec (liond takes wire unless started
-	// with -wire=false, and always takes NDJSON).
+	// liond takes both wire and NDJSON; lionroute always forwards wire.
 	Codec dataset.Codec
 	// Client performs forward and query requests; nil builds one with
 	// keep-alive connections per shard. Health probes always use a separate

@@ -184,7 +184,8 @@ func AdaptiveLocateThreeLineWorkers(in ThreeLineInput, ranges, intervals []float
 		return nil, ErrNoCandidates
 	}
 	tr := base.Solve.Trace
-	defer tr.Span("adaptive_three_line")()
+	mark := tr.SpanAt("adaptive_three_line")
+	defer mark.End()
 	cands := sweep(gridSpecs(ranges, intervals), workers, tr, func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
@@ -216,7 +217,8 @@ func AdaptiveLocateTwoLineWorkers(in TwoLineInput, abovePlane bool, ranges, inte
 		return nil, ErrNoCandidates
 	}
 	tr := base.Solve.Trace
-	defer tr.Span("adaptive_two_line")()
+	mark := tr.SpanAt("adaptive_two_line")
+	defer mark.End()
 	cands := sweep(gridSpecs(ranges, intervals), workers, tr, func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
@@ -240,7 +242,8 @@ func AdaptiveLocate2DLineWorkers(obs []PosPhase, lambda float64, intervals []flo
 		return nil, ErrNoCandidates
 	}
 	tr := opts.Trace
-	defer tr.Span("adaptive_line_2d")()
+	mark := tr.SpanAt("adaptive_line_2d")
+	defer mark.End()
 	specs := make([]gridSpec, len(intervals))
 	for i, iv := range intervals {
 		specs[i] = gridSpec{interval: iv}

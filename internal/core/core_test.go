@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/mat"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stats"
 )
@@ -133,13 +134,13 @@ func TestEquationSatisfiedByTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{ant.X, ant.Y, ant.Z, dr}
-	ax, err := sys.A.MulVec(x)
+	r, err := mat.Residuals(sys.A, x, sys.K)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ax {
-		if math.Abs(ax[i]-sys.K[i]) > 1e-9 {
-			t.Fatalf("equation %d: %v != %v", i, ax[i], sys.K[i])
+	for i, ri := range r {
+		if math.Abs(ri) > 1e-9 {
+			t.Fatalf("equation %d: A·x − k = %v", i, ri)
 		}
 	}
 }

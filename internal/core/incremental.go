@@ -8,6 +8,7 @@ import (
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/mat"
 	"github.com/rfid-lion/lion/internal/rf"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 const (
@@ -63,8 +64,8 @@ type LineSessionStats struct {
 // A rebuild anchors a local line frame at the window midpoint, scans the
 // separation pairs, accumulates their reduced [α, ω] rows straight into the
 // normal equations, solves, refines with IRWLS, and recovers the
-// perpendicular coordinate as the quickselect median of the per-sample
-// discriminants (the same order statistics a full sort would pick).
+// perpendicular coordinate as the median of the per-sample discriminants,
+// selected in place (the same order statistics a full sort would pick).
 //
 // Equivalence contract:
 //
@@ -81,7 +82,7 @@ type LineSessionStats struct {
 //     the factorization is maintained by rank-1 update/downdate rather than
 //     recomputed. RefDistance is reported relative to the session's anchor
 //     reference sample, not the current window midpoint.
-//   - Sessions re-anchor automatically every RebuildEvery slides, when the
+//   - Sessions re-anchor automatically every 256 slides, when the
 //     normal equations drift past mat.NormalEq's documented bound, when the
 //     anchor reference sample is evicted, and whenever the incoming window
 //     is not a forward slide of the previous one (including any smoothing
@@ -94,9 +95,9 @@ type LineSession struct {
 	intervals    []float64
 	positiveSide bool
 
-	// RebuildEvery overrides the re-anchor cadence; zero means the default
-	// of 256 slides.
-	RebuildEvery int
+	// rebuildEvery is the re-anchor cadence in slides, defaultRebuildEvery
+	// outside tests.
+	rebuildEvery int
 
 	// Anchor frame, fixed between rebuilds.
 	valid  bool
@@ -129,7 +130,7 @@ func NewLineSession(lambda float64, intervals []float64, positiveSide bool) (*Li
 	if err := checkLineParams(lambda, intervals); err != nil {
 		return nil, err
 	}
-	s := &LineSession{}
+	s := &LineSession{rebuildEvery: defaultRebuildEvery}
 	s.configure(lambda, intervals, positiveSide)
 	return s, nil
 }
@@ -176,13 +177,6 @@ func (s *LineSession) Stats() LineSessionStats {
 	return st
 }
 
-func (s *LineSession) rebuildEvery() int {
-	if s.RebuildEvery > 0 {
-		return s.RebuildEvery
-	}
-	return defaultRebuildEvery
-}
-
 // Locate estimates the target position from the window, writing the result
 // into sol (whose slices are reused across calls — the caller owns sol and
 // may retain or mutate it freely between calls). The window is the full
@@ -198,7 +192,7 @@ func (s *LineSession) Locate(win []PosPhase, opts SolveOptions, sol *Solution) e
 	}
 
 	slid := false
-	if s.valid && s.sinceRebuild < s.rebuildEvery() && s.ne.DriftRatio() <= driftRebuildRatio {
+	if s.valid && s.sinceRebuild < s.rebuildEvery && s.ne.DriftRatio() <= driftRebuildRatio {
 		slid = s.trySlide(win)
 	}
 	if slid {
@@ -481,8 +475,8 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 
 // recoverMissingMedian is the in-place form of Solution.RecoverMissingMedian
 // for the line session's fixed shape (Dim 2, missing coordinate y, local
-// frame with all sample y exactly zero): same discriminants, same median
-// interpolation as stats.Percentile, same negative-median tolerance.
+// frame with all sample y exactly zero): same discriminants, same
+// stats.PercentileInPlace median, same negative-median tolerance.
 func (s *LineSession) recoverMissingMedian(sol *Solution) error {
 	n := s.prof.Len()
 	if n < 3 {
@@ -495,27 +489,10 @@ func (s *LineSession) recoverMissingMedian(sol *Solution) error {
 		d := estX - s.prof.Obs[t].Pos.X
 		s.dsc[t] = dt*dt - d*d
 	}
-	// Median via selection, not a full sort: the order statistics are the
-	// same values sort.Float64s would put at lo and hi, so the interpolated
-	// median is bit-identical to stats.Percentile's — at O(n) instead of
-	// O(n log n), which matters because this runs on every streamed re-solve.
-	var med float64
-	rank := 50.0 / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	quickselectFloat(s.dsc, lo)
-	if lo == hi {
-		med = s.dsc[lo]
-	} else {
-		vhi := s.dsc[lo+1]
-		for _, v := range s.dsc[lo+2:] {
-			if v < vhi {
-				vhi = v
-			}
-		}
-		frac := rank - float64(lo)
-		med = s.dsc[lo]*(1-frac) + vhi*frac
-	}
+	// Median by in-place selection, not a copy and a full sort: O(n), which
+	// matters because this runs on every streamed re-solve. n ≥ 3, so the
+	// only error PercentileInPlace returns cannot occur.
+	med, _ := stats.PercentileInPlace(s.dsc, 50)
 	if med < 0 {
 		if med < -0.02*sol.RefDistance*sol.RefDistance {
 			return ErrNoSolution
@@ -529,47 +506,4 @@ func (s *LineSession) recoverMissingMedian(sol *Solution) error {
 	sol.Position = geom.Vec3{X: sol.Position.X, Y: off, Z: sol.Position.Z}
 	sol.Known[1] = true
 	return nil
-}
-
-// quickselectFloat rearranges xs in place so xs[k] holds the value a full
-// ascending sort would put there, with xs[:k] ≤ xs[k] ≤ xs[k+1:]. Hoare
-// partitioning with median-of-three pivots; O(len(xs)) expected, zero
-// allocations.
-func quickselectFloat(xs []float64, k int) {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return // xs[j+1 : i] all equal the pivot, k among them
-		}
-	}
 }

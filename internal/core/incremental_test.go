@@ -234,7 +234,7 @@ func TestLineSessionRebuildTriggers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.RebuildEvery = 2
+		s.rebuildEvery = 2
 		var sol Solution
 		for lo := 0; lo < 10; lo++ {
 			if err := s.Locate(stream[lo:lo+window], opts, &sol); err != nil {
@@ -242,7 +242,7 @@ func TestLineSessionRebuildTriggers(t *testing.T) {
 			}
 		}
 		if st := s.Stats(); st.Rebuilds < 4 {
-			t.Errorf("RebuildEvery=2 over 10 solves: rebuilds = %d, want ≥ 4", st.Rebuilds)
+			t.Errorf("rebuildEvery=2 over 10 solves: rebuilds = %d, want ≥ 4", st.Rebuilds)
 		}
 	})
 

@@ -348,8 +348,7 @@ func buildGrid(opts StructuredOptions, lines ...*lineProfile) ([]float64, error)
 
 // ThreeLineInput carries the per-line observations of a Fig. 11 scan. The
 // phases of all three slices must share one continuous unwrapped profile
-// (scan the lines in one continuous movement, or stitch with
-// dsp.StitchSegments first).
+// (scan the lines in one continuous movement).
 type ThreeLineInput struct {
 	L1, L2, L3 []PosPhase
 	Lambda     float64

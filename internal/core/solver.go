@@ -96,8 +96,8 @@ type Solution struct {
 	// estimate, ‖A·X − k‖₂.
 	FinalResidual float64
 	// ConditionEstimate is a cheap lower-bound estimate of the unweighted
-	// system's 2-norm condition number (mat.ConditionEst); large values
-	// flag near-degenerate geometry before accuracy visibly collapses.
+	// system's 2-norm condition number (mat.Workspace.ConditionEst); large
+	// values flag near-degenerate geometry before accuracy visibly collapses.
 	ConditionEstimate float64
 }
 
@@ -175,7 +175,7 @@ func (s *Solution) RecoverMissingMedian(p *Profile, positive bool) error {
 	if len(discs) < 3 {
 		return s.RecoverMissing(p.RefPos(), positive)
 	}
-	med, err := stats.Median(discs)
+	med, err := stats.PercentileInPlace(discs, 50)
 	if err != nil {
 		return err
 	}

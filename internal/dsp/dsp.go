@@ -1,13 +1,14 @@
 // Package dsp implements the signal-preprocessing stage of LION
-// (Sec. IV-A): phase unwrapping, moving-average smoothing, stitching of
-// phase profiles collected on separate trajectory segments, resampling, and
-// outlier rejection.
+// (Sec. IV-A): phase unwrapping and wrapping, moving-average smoothing, and
+// resampling.
 package dsp
 
 import (
 	"errors"
 	"math"
 	"sort"
+
+	"github.com/rfid-lion/lion/internal/rf"
 )
 
 // Errors returned by the preprocessing functions.
@@ -66,20 +67,12 @@ func UnwrapInto(dst, wrapped []float64) []float64 {
 	return dst
 }
 
-// Wrap maps every element of xs onto [0, 2π). The input is not modified.
+// Wrap maps every element of xs onto [0, 2π) with rf.WrapPhase. The input
+// is not modified.
 func Wrap(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
-		t := math.Mod(x, 2*math.Pi)
-		if t < 0 {
-			t += 2 * math.Pi
-			// Negative values within one ulp of zero round up to exactly
-			// 2π, which would escape the half-open interval.
-			if t >= 2*math.Pi {
-				t = 0
-			}
-		}
-		out[i] = t
+		out[i] = rf.WrapPhase(x)
 	}
 	return out
 }
@@ -121,32 +114,6 @@ func MovingAverageInto(dst, xs []float64, window int) ([]float64, error) {
 	return out, nil
 }
 
-// StitchSegments joins phase profiles that were unwrapped independently per
-// trajectory segment. Each subsequent segment is shifted by the integer
-// multiple of 2π that minimises the jump between the last sample of the
-// previous segment and the first sample of the next (Sec. IV-B: "adjust the
-// unwrapped phase profiles to make them consecutive"). The result is one
-// concatenated profile. Empty segments are skipped.
-func StitchSegments(segments [][]float64) []float64 {
-	var out []float64
-	for _, seg := range segments {
-		if len(seg) == 0 {
-			continue
-		}
-		if len(out) == 0 {
-			out = append(out, seg...)
-			continue
-		}
-		last := out[len(out)-1]
-		jump := seg[0] - last
-		shift := -2 * math.Pi * math.Round(jump/(2*math.Pi))
-		for _, v := range seg {
-			out = append(out, v+shift)
-		}
-	}
-	return out
-}
-
 // LinearResample interpolates the series (times, values) at the query
 // instants. Times must be strictly increasing. Queries outside the range
 // clamp to the boundary values.
@@ -178,72 +145,4 @@ func LinearResample(times, values, queries []float64) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// HampelFilter replaces outliers with the local median. A sample is an
-// outlier when it deviates from the median of its window by more than
-// nSigma times the scaled median absolute deviation. It returns the filtered
-// series and the indices that were replaced. The input is not modified.
-func HampelFilter(xs []float64, window int, nSigma float64) ([]float64, []int, error) {
-	if window <= 0 || window%2 == 0 {
-		return nil, nil, ErrBadWindow
-	}
-	if nSigma <= 0 {
-		return nil, nil, errors.New("dsp: nSigma must be positive")
-	}
-	const madScale = 1.4826 // MAD → σ for Gaussian data
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	var replaced []int
-	half := window / 2
-	buf := make([]float64, 0, window)
-	for i := range xs {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		buf = buf[:0]
-		buf = append(buf, xs[lo:hi+1]...)
-		med := medianInPlace(buf)
-		for j := range buf {
-			buf[j] = math.Abs(buf[j] - med)
-		}
-		mad := medianInPlace(buf) * madScale
-		if mad == 0 {
-			continue
-		}
-		if math.Abs(xs[i]-med) > nSigma*mad {
-			out[i] = med
-			replaced = append(replaced, i)
-		}
-	}
-	return out, replaced, nil
-}
-
-// medianInPlace sorts buf and returns its median.
-func medianInPlace(buf []float64) float64 {
-	sort.Float64s(buf)
-	n := len(buf)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return buf[n/2]
-	}
-	return (buf[n/2-1] + buf[n/2]) / 2
-}
-
-// Diff returns the first difference of xs (length len(xs)−1).
-func Diff(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
 }

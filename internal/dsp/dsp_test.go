@@ -181,54 +181,6 @@ func TestMovingAverageReducesNoiseVariance(t *testing.T) {
 	}
 }
 
-func TestStitchSegments(t *testing.T) {
-	// Two segments of one continuous ramp, each re-based by a 2π multiple.
-	segA := []float64{0, 0.5, 1.0, 1.5}
-	segB := []float64{2.0 - 4*math.Pi, 2.5 - 4*math.Pi, 3.0 - 4*math.Pi}
-	out := StitchSegments([][]float64{segA, segB})
-	want := []float64{0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0}
-	if !sliceAlmostEq(out, want, 1e-9) {
-		t.Errorf("stitched = %v, want %v", out, want)
-	}
-}
-
-func TestStitchSegmentsEdgeCases(t *testing.T) {
-	if out := StitchSegments(nil); len(out) != 0 {
-		t.Errorf("nil segments = %v", out)
-	}
-	if out := StitchSegments([][]float64{nil, {1, 2}, nil}); !sliceAlmostEq(out, []float64{1, 2}, 0) {
-		t.Errorf("empty-segment handling = %v", out)
-	}
-	single := StitchSegments([][]float64{{3, 4}})
-	if !sliceAlmostEq(single, []float64{3, 4}, 0) {
-		t.Errorf("single segment = %v", single)
-	}
-}
-
-func TestStitchPropertyResidualJumpUnderPi(t *testing.T) {
-	f := func(aRaw, bRaw []float64, k int8) bool {
-		a := make([]float64, 0, len(aRaw))
-		for _, x := range aRaw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 100 {
-				a = append(a, x)
-			}
-		}
-		if len(a) == 0 {
-			return true
-		}
-		// Second segment continues the first within (−π, π), then is
-		// re-based by k·2π; stitching must undo the re-basing.
-		start := a[len(a)-1] + math.Mod(float64(k)*0.37, 1)
-		b := []float64{start + float64(k)*2*math.Pi}
-		out := StitchSegments([][]float64{a, b})
-		jump := out[len(out)-1] - a[len(a)-1]
-		return math.Abs(jump) < math.Pi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLinearResample(t *testing.T) {
 	times := []float64{0, 1, 2}
 	values := []float64{0, 10, 0}
@@ -251,55 +203,6 @@ func TestLinearResampleValidation(t *testing.T) {
 	}
 	if _, err := LinearResample([]float64{0, 0}, []float64{1, 2}, nil); err == nil {
 		t.Error("non-increasing times accepted")
-	}
-}
-
-func TestHampelFilterRemovesSpike(t *testing.T) {
-	xs := []float64{1, 1.1, 0.9, 1.0, 9.0, 1.1, 0.95, 1.05, 1.0}
-	out, replaced, err := HampelFilter(xs, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replaced) != 1 || replaced[0] != 4 {
-		t.Fatalf("replaced = %v, want [4]", replaced)
-	}
-	if out[4] > 2 {
-		t.Errorf("spike survived: %v", out[4])
-	}
-	// Non-outliers untouched.
-	for i, v := range xs {
-		if i == 4 {
-			continue
-		}
-		if out[i] != v {
-			t.Errorf("sample %d modified: %v -> %v", i, v, out[i])
-		}
-	}
-}
-
-func TestHampelFilterValidation(t *testing.T) {
-	if _, _, err := HampelFilter([]float64{1}, 2, 3); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("even window err = %v", err)
-	}
-	if _, _, err := HampelFilter([]float64{1}, 3, 0); err == nil {
-		t.Error("zero nSigma accepted")
-	}
-	// Constant series: MAD 0, nothing replaced.
-	out, replaced, err := HampelFilter([]float64{2, 2, 2, 2}, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replaced) != 0 || !sliceAlmostEq(out, []float64{2, 2, 2, 2}, 0) {
-		t.Errorf("constant series altered: %v %v", out, replaced)
-	}
-}
-
-func TestDiff(t *testing.T) {
-	if got := Diff([]float64{1, 3, 6}); !sliceAlmostEq(got, []float64{2, 3}, 0) {
-		t.Errorf("Diff = %v", got)
-	}
-	if got := Diff([]float64{1}); got != nil {
-		t.Errorf("Diff(single) = %v", got)
 	}
 }
 

@@ -159,12 +159,12 @@ func TestOnTransitionHook(t *testing.T) {
 			Threshold: 1.0, HoldDown: 2 * time.Second, ResolveAfter: time.Second,
 			Severity: SevCritical,
 		}},
-		FlightDepth:  -1,
-		OnTransition: func(a Alert) { got = append(got, a) },
+		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetOnTransition(func(a Alert) { got = append(got, a) })
 	m.ObserveSolve(solveAt(time.Second, 5)) // violating: pending
 	m.ObserveSolve(solveAt(4*time.Second, 5))
 	m.ObserveSolve(solveAt(5*time.Second, 0.1))

@@ -23,8 +23,6 @@ type Config struct {
 	// BaselineWindow is the per-signal rolling window deviation rules take
 	// z-scores over; zero defaults to 128.
 	BaselineWindow int
-	// BaselineAlpha is the EWMA smoothing factor; zero defaults to 0.05.
-	BaselineAlpha float64
 	// MinBaseline gates deviation rules until a scope's window holds this
 	// many points; zero defaults to 16.
 	MinBaseline int
@@ -37,9 +35,6 @@ type Config struct {
 	// FlightDepth is the per-tag flight-recorder ring size; zero defaults
 	// to 8, negative disables the recorder entirely.
 	FlightDepth int
-	// FlightTags bounds the flight recorder's tag count; zero defaults
-	// to 64.
-	FlightTags int
 	// ResolvedHistory bounds the recently-resolved alert list; zero
 	// defaults to 32.
 	ResolvedHistory int
@@ -48,23 +43,18 @@ type Config struct {
 	Registry *obs.Registry
 	// Logger, when non-nil, gets one structured line per alert transition.
 	Logger *obs.Logger
-	// OnTransition, when non-nil, is invoked with a copy of the alert each
-	// time it enters a new state (pending, firing, resolved; a pending
-	// alert that heals is dropped silently). Callbacks run on the observing
-	// goroutine after the monitor's lock is released, in transition order —
-	// they may call back into the monitor but must not block for long, as
-	// they hold up the solve pipeline's observation hook. This is the
-	// subscription point for closed-loop consumers such as the
-	// recalibration controller.
-	OnTransition func(Alert)
 }
+
+const (
+	// baselineAlpha is the baselines' EWMA smoothing factor.
+	baselineAlpha = 0.05
+	// flightTags bounds the flight recorder's tag count.
+	flightTags = 64
+)
 
 func (c *Config) applyDefaults() {
 	if c.BaselineWindow <= 0 {
 		c.BaselineWindow = 128
-	}
-	if c.BaselineAlpha <= 0 {
-		c.BaselineAlpha = 0.05
 	}
 	if c.MinBaseline <= 0 {
 		c.MinBaseline = 16
@@ -77,9 +67,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.FlightDepth == 0 {
 		c.FlightDepth = 8
-	}
-	if c.FlightTags <= 0 {
-		c.FlightTags = 64
 	}
 	if c.ResolvedHistory <= 0 {
 		c.ResolvedHistory = 32
@@ -139,10 +126,12 @@ type Monitor struct {
 	// it, which keeps transitions deterministic under accelerated replay.
 	now time.Duration
 
-	// hookQueue collects state-entry alert copies during a locked
-	// evaluation pass; ObserveSolve drains it to cfg.OnTransition after
-	// unlocking so callbacks never run under the monitor mutex.
-	hookQueue []Alert
+	// onTransition is the SetOnTransition subscriber. hookQueue collects
+	// state-entry alert copies during a locked evaluation pass; ObserveSolve
+	// drains it to onTransition after unlocking so callbacks never run under
+	// the monitor mutex.
+	onTransition func(Alert)
+	hookQueue    []Alert
 
 	flight *FlightRecorder
 
@@ -199,7 +188,7 @@ func New(cfg Config) (*Monitor, error) {
 		driftGauges:  make(map[string]*obs.Gauge),
 	}
 	if cfg.FlightDepth > 0 {
-		m.flight = NewFlightRecorder(cfg.FlightDepth, cfg.FlightTags)
+		m.flight = NewFlightRecorder(cfg.FlightDepth, flightTags)
 	}
 	trans := reg.CounterVec("lion_health_alert_transitions_total",
 		"Alert state transitions, by entered state (cancelled = pending healed).", "state")
@@ -382,7 +371,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 	}
 	hooks := m.hookQueue
 	m.hookQueue = nil
-	fn := m.cfg.OnTransition
+	fn := m.onTransition
 	m.mu.Unlock()
 	for _, a := range hooks {
 		fn(a)
@@ -390,16 +379,21 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 	m.evalSeconds.Observe(time.Since(begin).Seconds())
 }
 
-// SetOnTransition installs (or replaces) the transition subscriber after
-// construction — the wiring hook for consumers built after the monitor,
-// such as the recalibration controller. Transitions evaluated before the
-// subscriber is installed are not replayed.
+// SetOnTransition installs (or replaces) the transition subscriber: fn is
+// invoked with a copy of the alert each time it enters a new state
+// (pending, firing, resolved; a pending alert that heals is dropped
+// silently). Callbacks run on the observing goroutine after the monitor's
+// lock is released, in transition order — they may call back into the
+// monitor but must not block for long, as they hold up the solve
+// pipeline's observation hook. This is the subscription point for
+// closed-loop consumers such as the recalibration controller. Transitions
+// evaluated before the subscriber is installed are not replayed.
 func (m *Monitor) SetOnTransition(fn func(Alert)) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.cfg.OnTransition = fn
+	m.onTransition = fn
 	m.mu.Unlock()
 }
 
@@ -443,7 +437,7 @@ func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
 		}
 		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals))}
 		for _, sig := range perTagSignals {
-			ts.baselines[sig] = newBaseline(m.cfg.BaselineWindow, m.cfg.BaselineAlpha)
+			ts.baselines[sig] = newBaseline(m.cfg.BaselineWindow, baselineAlpha)
 		}
 		m.tags[tag] = ts
 	}
@@ -514,9 +508,9 @@ func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating 
 }
 
 // enqueueHookLocked queues an alert copy for post-unlock delivery to the
-// OnTransition subscriber.
+// SetOnTransition subscriber.
 func (m *Monitor) enqueueHookLocked(a Alert) {
-	if m.cfg.OnTransition != nil {
+	if m.onTransition != nil {
 		m.hookQueue = append(m.hookQueue, a)
 	}
 }

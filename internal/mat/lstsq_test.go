@@ -35,11 +35,7 @@ func TestQRFactorReconstruction(t *testing.T) {
 	}
 	// Solving with an exact RHS reproduces the solution.
 	want := []float64{1, -2, 0.5, 3}
-	b, err := a.MulVec(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Solve(b)
+	got, err := f.Solve(mulVec(a, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +72,7 @@ func TestLeastSquaresExactSolution(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b, err := a.MulVec(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := LeastSquares(a, b)
+		got, err := LeastSquares(a, mulVec(a, want))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -88,6 +80,12 @@ func TestLeastSquaresExactSolution(t *testing.T) {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
 	}
+}
+
+// residualNorm returns ‖A·x − b‖₂.
+func residualNorm(a *Dense, x, b []float64) (float64, error) {
+	r, err := Residuals(a, x, b)
+	return Norm2(r), err
 }
 
 func TestLeastSquaresMinimisesResidual(t *testing.T) {
@@ -100,7 +98,7 @@ func TestLeastSquaresMinimisesResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ResidualNorm(a, x, b)
+	base, err := residualNorm(a, x, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +106,7 @@ func TestLeastSquaresMinimisesResidual(t *testing.T) {
 	// residual norm.
 	for _, d := range [][]float64{{1e-3, 0}, {-1e-3, 0}, {0, 1e-3}, {0, -1e-3}} {
 		xp := []float64{x[0] + d[0], x[1] + d[1]}
-		rn, err := ResidualNorm(a, xp, b)
+		rn, err := residualNorm(a, xp, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +121,7 @@ func TestLeastSquaresErrors(t *testing.T) {
 	if _, err := LeastSquares(a, []float64{1, 2}); !errors.Is(err, ErrShape) {
 		t.Errorf("underdetermined err = %v", err)
 	}
-	sq := Identity(2)
-	if _, err := LeastSquares(sq, []float64{1}); !errors.Is(err, ErrShape) {
+	if _, err := LeastSquares(NewDense(2, 2), []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("rhs mismatch err = %v", err)
 	}
 }
@@ -207,13 +204,6 @@ func TestResiduals(t *testing.T) {
 	}
 	if !vecAlmostEq(r, []float64{1, 2}, 0) {
 		t.Errorf("Residuals = %v", r)
-	}
-	n, err := ResidualNorm(a, []float64{2, 3}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(n-math.Sqrt(5)) > 1e-12 {
-		t.Errorf("ResidualNorm = %v", n)
 	}
 	if _, err := Residuals(a, []float64{1, 2}, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("shape err = %v", err)

@@ -22,12 +22,12 @@ var (
 
 // Dense is a row-major dense matrix of float64 values.
 //
-// Ownership rules: every method that returns a slice (Row, Col) or a matrix
-// (Clone, T, Add, Sub, ScaleBy, Mul, Gram, ...) returns freshly allocated
-// storage that never aliases the receiver's internal buffer — callers may
-// mutate results freely. The zero-allocation variants live on Workspace and
-// NormalEq, whose returned slices DO alias internal scratch; see their doc
-// comments for the validity window.
+// Ownership rules: every method that returns a slice (TMulVec) or a matrix
+// (Clone, Gram) returns freshly allocated storage that never aliases the
+// receiver's internal buffer — callers may mutate results freely. The
+// zero-allocation solvers live on Workspace and NormalEq, whose returned
+// slices DO alias internal scratch; see their doc comments for the validity
+// window.
 type Dense struct {
 	rows, cols int
 	data       []float64
@@ -42,33 +42,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows. The data is
-// copied.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, ErrShape
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("row %d has %d entries, want %d: %w",
-				i, len(r), cols, ErrShape)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -80,31 +53,6 @@ func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns the element at (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// SetRow copies the given values into row i.
-func (m *Dense) SetRow(i int, vals []float64) error {
-	if len(vals) != m.cols {
-		return ErrShape
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], vals)
-	return nil
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
 
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
@@ -134,82 +82,6 @@ func (m *Dense) Reshape(rows, cols int) *Dense {
 	}
 	m.rows, m.cols = rows, cols
 	return m
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Add returns m + n.
-func (m *Dense) Add(n *Dense) (*Dense, error) {
-	if m.rows != n.rows || m.cols != n.cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += n.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m − n.
-func (m *Dense) Sub(n *Dense) (*Dense, error) {
-	if m.rows != n.rows || m.cols != n.cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= n.data[i]
-	}
-	return out, nil
-}
-
-// ScaleBy returns s·m.
-func (m *Dense) ScaleBy(s float64) *Dense {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// Mul returns the matrix product m·n.
-func (m *Dense) Mul(n *Dense) (*Dense, error) {
-	if m.cols != n.rows {
-		return nil, ErrShape
-	}
-	out := NewDense(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			nk := n.data[k*n.cols : (k+1)*n.cols]
-			for j, nkj := range nk {
-				oi[j] += mik * nkj
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m·v.
-func (m *Dense) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, ErrShape
-	}
-	out := make([]float64, m.rows)
-	m.mulVecInto(out, v)
-	return out, nil
 }
 
 // mulVecInto computes m·v into out (len m.rows, fully overwritten).
@@ -249,17 +121,6 @@ func (m *Dense) gramInto(out *Dense) {
 			}
 		}
 	}
-}
-
-// WeightedGram returns mᵀ·diag(w)·m. The weight slice must have one entry
-// per row of m.
-func (m *Dense) WeightedGram(w []float64) (*Dense, error) {
-	if len(w) != m.rows {
-		return nil, ErrShape
-	}
-	out := NewDense(m.cols, m.cols)
-	m.weightedGramInto(out, w)
-	return out, nil
 }
 
 // weightedGramInto accumulates mᵀ·diag(w)·m into out (cols×cols, zeroed).
@@ -307,16 +168,6 @@ func (m *Dense) tMulVecInto(out, v []float64) {
 	}
 }
 
-// WeightedTMulVec returns mᵀ·diag(w)·v.
-func (m *Dense) WeightedTMulVec(w, v []float64) ([]float64, error) {
-	if m.rows != len(v) || m.rows != len(w) {
-		return nil, ErrShape
-	}
-	out := make([]float64, m.cols)
-	m.weightedTMulVecInto(out, w, v)
-	return out, nil
-}
-
 // weightedTMulVecInto accumulates mᵀ·diag(w)·v into out (len m.cols, zeroed
 // by the caller).
 func (m *Dense) weightedTMulVecInto(out, w, v []float64) {
@@ -343,28 +194,6 @@ func (m *Dense) MaxAbs() float64 {
 	return mx
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Equal reports whether m and n have the same shape and entries within tol.
-func (m *Dense) Equal(n *Dense, tol float64) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-n.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	var b strings.Builder
@@ -381,17 +210,6 @@ func (m *Dense) String() string {
 	return b.String()
 }
 
-// Vector helpers shared across the package.
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
@@ -399,11 +217,4 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// AXPY computes y ← y + a·x in place.
-func AXPY(a float64, x, y []float64) {
-	for i, xi := range x {
-		y[i] += a * xi
-	}
 }

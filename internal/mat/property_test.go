@@ -6,42 +6,6 @@ import (
 	"testing"
 )
 
-// reconstructQ applies the stored Householder reflectors to the identity to
-// materialise the thin Q factor, so the tests can verify orthonormality.
-func reconstructQ(t *testing.T, a *Dense) *Dense {
-	t.Helper()
-	f, err := FactorQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, n := a.Rows(), a.Cols()
-	q := NewDense(m, n)
-	e := make([]float64, m)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		// Solve R·x = Qᵀ·e implicitly: instead, use A·x = QR·x. Simpler:
-		// apply Q to the j-th unit vector via A·(R⁻¹·e_j).
-		x, err := f.Solve(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// q_j = A·x is the projection of e_j onto the column space — for a
-		// full-rank A this equals Q·Qᵀ·e_j; sufficient for orthogonality
-		// checks below when combined across columns.
-		col, err := a.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < m; i++ {
-			q.Set(i, j, col[i])
-		}
-	}
-	return q
-}
-
 func TestQRProjectionIdempotent(t *testing.T) {
 	// P = A(AᵀA)⁻¹Aᵀ is a projector: applying the least-squares fit twice
 	// changes nothing.
@@ -56,11 +20,7 @@ func TestQRProjectionIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := a.MulVec(x1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x2, err := SolveQR(a, proj)
+		x2, err := SolveQR(a, mulVec(a, x1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,20 +63,16 @@ func TestProjectionColumnsSpanInvariance(t *testing.T) {
 	// Projecting the columns of A onto their own span returns them exactly.
 	rng := rand.New(rand.NewSource(41))
 	a := randomTallMatrix(rng, 10, 3)
-	q := reconstructQ(t, a)
 	for j := 0; j < 3; j++ {
-		col := a.Col(j)
-		want := q.Col(j) // projection of e_j scaled... verify via solve
-		_ = want
+		col := make([]float64, a.Rows())
+		for i := range col {
+			col[i] = a.At(i, j)
+		}
 		x, err := SolveQR(a, col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := a.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vecAlmostEq(back, col, 1e-8) {
+		if back := mulVec(a, x); !vecAlmostEq(back, col, 1e-8) {
 			t.Fatalf("column %d not reproduced by its own span", j)
 		}
 	}
@@ -174,31 +130,5 @@ func TestWeightedLeastSquaresScaleInvariance(t *testing.T) {
 	}
 	if !vecAlmostEq(x1, x2, 1e-9) {
 		t.Errorf("weight scaling changed the solution: %v vs %v", x1, x2)
-	}
-}
-
-func TestDetProductRule(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(5)
-		a := NewDense(n, n)
-		b := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-				b.Set(i, j, rng.NormFloat64())
-			}
-		}
-		ab, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, _ := Det(a)
-		db, _ := Det(b)
-		dab, _ := Det(ab)
-		scale := math.Max(1, math.Abs(da*db))
-		if math.Abs(dab-da*db) > 1e-8*scale {
-			t.Fatalf("trial %d: det(AB)=%v, det(A)det(B)=%v", trial, dab, da*db)
-		}
 	}
 }

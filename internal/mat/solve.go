@@ -1,76 +1,6 @@
 package mat
 
-import (
-	"math"
-)
-
-// SolveLU solves the square linear system A·x = b with Gaussian elimination
-// and partial pivoting. A and b are not modified. It returns ErrSingular when
-// a pivot underflows the numerical tolerance.
-func SolveLU(a *Dense, b []float64) ([]float64, error) {
-	n := a.Rows()
-	if a.Cols() != n || len(b) != n {
-		return nil, ErrShape
-	}
-	lu := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	scale := lu.MaxAbs()
-	if scale == 0 {
-		return nil, ErrSingular
-	}
-	tol := 1e-13 * scale
-
-	for k := 0; k < n; k++ {
-		// Partial pivoting: largest |entry| in column k at or below the
-		// diagonal.
-		p := k
-		maxAbs := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > maxAbs {
-				maxAbs, p = a, i
-			}
-		}
-		if maxAbs <= tol {
-			return nil, ErrSingular
-		}
-		if p != k {
-			swapRows(lu, p, k)
-			x[p], x[k] = x[k], x[p]
-		}
-		// Eliminate below the pivot.
-		piv := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			f := lu.At(i, k) / piv
-			if f == 0 {
-				continue
-			}
-			lu.Set(i, k, 0)
-			for j := k + 1; j < n; j++ {
-				lu.Set(i, j, lu.At(i, j)-f*lu.At(k, j))
-			}
-			x[i] -= f * x[k]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= lu.At(i, j) * x[j]
-		}
-		x[i] = s / lu.At(i, i)
-	}
-	return x, nil
-}
-
-func swapRows(m *Dense, i, j int) {
-	ri := m.data[i*m.cols : (i+1)*m.cols]
-	rj := m.data[j*m.cols : (j+1)*m.cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
+import "math"
 
 // Cholesky computes the lower-triangular factor L of a symmetric positive
 // definite matrix A, such that A = L·Lᵀ. It returns ErrNotSPD when A is not
@@ -89,9 +19,9 @@ func Cholesky(a *Dense) (*Dense, error) {
 
 // choleskyInto factors A = L·Lᵀ into l, which must be n×n and zeroed (the
 // strict upper triangle is left untouched). The column-by-column elimination
-// order here is the reference order: Workspace and NormalEq both route
-// through this kernel so scratch-reusing solves stay bit-identical to the
-// allocating path.
+// order here is the reference order: Cholesky, Workspace and NormalEq all
+// route through this kernel, so a NormalEq built row by row solves
+// bit-identically to a Workspace solve of the same rows.
 func choleskyInto(l, a *Dense) error {
 	n := a.Rows()
 	for j := 0; j < n; j++ {
@@ -121,17 +51,11 @@ func SolveCholesky(a *Dense, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveCholeskyFactor(l, b)
-}
-
-func solveCholeskyFactor(l *Dense, b []float64) ([]float64, error) {
-	n := l.Rows()
-	if len(b) != n {
+	if len(b) != l.Rows() {
 		return nil, ErrShape
 	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	choleskySolveFactorInto(x, y, l, b)
+	x := make([]float64, len(b))
+	choleskySolveFactorInto(x, make([]float64, len(b)), l, b)
 	return x, nil
 }
 
@@ -156,93 +80,4 @@ func choleskySolveFactorInto(x, y []float64, l *Dense, b []float64) {
 		}
 		x[i] = s / l.At(i, i)
 	}
-}
-
-// Inverse returns A⁻¹ computed column-by-column via SolveLU. Intended for
-// the small (3×3, 4×4) systems that appear in LION; not for large matrices.
-func Inverse(a *Dense) (*Dense, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return nil, ErrShape
-	}
-	inv := NewDense(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := SolveLU(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// Det returns the determinant of a square matrix via LU decomposition.
-func Det(a *Dense) (float64, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return 0, ErrShape
-	}
-	lu := a.Clone()
-	det := 1.0
-	for k := 0; k < n; k++ {
-		p := k
-		maxAbs := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > maxAbs {
-				maxAbs, p = a, i
-			}
-		}
-		if maxAbs == 0 {
-			return 0, nil
-		}
-		if p != k {
-			swapRows(lu, p, k)
-			det = -det
-		}
-		piv := lu.At(k, k)
-		det *= piv
-		for i := k + 1; i < n; i++ {
-			f := lu.At(i, k) / piv
-			if f == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				lu.Set(i, j, lu.At(i, j)-f*lu.At(k, j))
-			}
-		}
-	}
-	return det, nil
-}
-
-// ConditionEstimate returns a cheap estimate of the 1-norm condition number
-// of a square matrix, κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁. It returns +Inf for singular
-// matrices. The estimate computes the exact inverse, which is fine for the
-// tiny matrices LION solves.
-func ConditionEstimate(a *Dense) float64 {
-	inv, err := Inverse(a)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return norm1(a) * norm1(inv)
-}
-
-func norm1(a *Dense) float64 {
-	var mx float64
-	for j := 0; j < a.Cols(); j++ {
-		var s float64
-		for i := 0; i < a.Rows(); i++ {
-			s += math.Abs(a.At(i, j))
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
 }

@@ -2,77 +2,9 @@ package mat
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
-
-func TestSolveLUKnownSystem(t *testing.T) {
-	a := mustFromRows(t, [][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	})
-	x, err := SolveLU(a, []float64{8, -11, -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{2, 3, -1}, 1e-10) {
-		t.Errorf("x = %v, want [2 3 -1]", x)
-	}
-}
-
-func TestSolveLUSingular(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveLU(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Errorf("singular err = %v", err)
-	}
-	zero := NewDense(2, 2)
-	if _, err := SolveLU(zero, []float64{0, 0}); !errors.Is(err, ErrSingular) {
-		t.Errorf("zero-matrix err = %v", err)
-	}
-}
-
-func TestSolveLUShape(t *testing.T) {
-	a := NewDense(2, 3)
-	if _, err := SolveLU(a, []float64{1, 2}); !errors.Is(err, ErrShape) {
-		t.Errorf("non-square err = %v", err)
-	}
-	sq := Identity(2)
-	if _, err := SolveLU(sq, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("rhs-length err = %v", err)
-	}
-}
-
-func TestSolveLURandomRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(8)
-		a := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-			}
-			// Diagonal dominance keeps the system well conditioned.
-			a.Set(i, i, a.At(i, i)+float64(n)+1)
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b, err := a.MulVec(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveLU(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !vecAlmostEq(got, want, 1e-8) {
-			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
-		}
-	}
-}
 
 func TestCholeskyFactorReconstruction(t *testing.T) {
 	a := mustFromRows(t, [][]float64{
@@ -89,14 +21,10 @@ func TestCholeskyFactorReconstruction(t *testing.T) {
 		{6, 1, 0},
 		{-8, 5, 3},
 	})
-	if !l.Equal(want, 1e-10) {
+	if !matAlmostEq(l, want, 1e-10) {
 		t.Errorf("L =\n%v\nwant\n%v", l, want)
 	}
-	recon, err := l.Mul(l.T())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recon.Equal(a, 1e-10) {
+	if recon := matMul(l, transpose(l)); !matAlmostEq(recon, a, 1e-10) {
 		t.Errorf("LLᵀ != A")
 	}
 }
@@ -130,78 +58,12 @@ func TestSolveCholeskyRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		rhs, err := a.MulVec(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveCholesky(a, rhs)
+		got, err := SolveCholesky(a, mulVec(a, want))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !vecAlmostEq(got, want, 1e-8) {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prod.Equal(Identity(2), 1e-12) {
-		t.Errorf("A·A⁻¹ != I:\n%v", prod)
-	}
-	if _, err := Inverse(NewDense(2, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("shape err = %v", err)
-	}
-	sing := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(sing); !errors.Is(err, ErrSingular) {
-		t.Errorf("singular err = %v", err)
-	}
-}
-
-func TestDet(t *testing.T) {
-	tests := []struct {
-		rows [][]float64
-		want float64
-	}{
-		{[][]float64{{3}}, 3},
-		{[][]float64{{1, 2}, {3, 4}}, -2},
-		{[][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}, 24},
-		{[][]float64{{1, 2}, {2, 4}}, 0},
-	}
-	for _, tt := range tests {
-		a := mustFromRows(t, tt.rows)
-		got, err := Det(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-10 {
-			t.Errorf("Det = %v, want %v", got, tt.want)
-		}
-	}
-	if _, err := Det(NewDense(2, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("shape err = %v", err)
-	}
-}
-
-func TestConditionEstimate(t *testing.T) {
-	if got := ConditionEstimate(Identity(3)); math.Abs(got-1) > 1e-10 {
-		t.Errorf("cond(I) = %v, want 1", got)
-	}
-	sing := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
-	if got := ConditionEstimate(sing); !math.IsInf(got, 1) {
-		t.Errorf("cond(singular) = %v, want +Inf", got)
-	}
-	// Ill-conditioned matrix should report a large condition number.
-	ill := mustFromRows(t, [][]float64{{1, 1}, {1, 1 + 1e-10}})
-	if got := ConditionEstimate(ill); got < 1e8 {
-		t.Errorf("cond(ill) = %v, want large", got)
 	}
 }

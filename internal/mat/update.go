@@ -35,10 +35,10 @@ const downdateTolFactor = 1e-12
 //   - the caller Resets the system.
 //
 // The Gram matrix and right-hand side themselves are always maintained
-// exactly (± r·rᵀ and ± k·r in the same accumulation order Dense.Gram and
-// Dense.TMulVec use), so a refactorization is always available and a system
-// built purely by AddRow calls solves bit-identically to the from-scratch
-// Workspace/LeastSquares path. After RemoveRow the Gram entries carry the
+// exactly (± r·rᵀ and ± k·r in the accumulation order Workspace.LeastSquares
+// uses), so a refactorization is always available and a system built purely
+// by AddRow calls solves bit-identically to the from-scratch
+// Workspace.LeastSquares. After RemoveRow the Gram entries carry the
 // usual floating-point cancellation, which is what the documented 1e-9
 // equivalence bound on the incremental path accounts for.
 //
@@ -59,13 +59,6 @@ type NormalEq struct {
 
 	refactorizations   int
 	incrementalUpdates int
-}
-
-// NewNormalEq returns a NormalEq for systems with n unknowns.
-func NewNormalEq(n int) *NormalEq {
-	ne := &NormalEq{}
-	ne.Reset(n)
-	return ne
 }
 
 // Reset clears the system to n unknowns with zero Gram matrix and
@@ -267,7 +260,7 @@ func (ne *NormalEq) Solve() ([]float64, error) {
 
 // ConditionEst returns the Cholesky-diagonal condition estimate
 // max|L_ii|/min|L_ii| of the accumulated coefficient matrix — the same
-// estimate ConditionEst(a) reports for the corresponding tall system —
+// estimate Workspace.ConditionEst reports for the corresponding tall system —
 // or +Inf when the Gram matrix is not numerically SPD.
 func (ne *NormalEq) ConditionEst() float64 {
 	if !ne.cholOK {

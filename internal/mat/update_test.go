@@ -34,7 +34,8 @@ func freshSolve(rows []obsRow, n int) ([]float64, float64, error) {
 	for i, r := range rows {
 		copy(a.data[i*n:(i+1)*n], r.a)
 	}
-	ne := NewNormalEq(n)
+	ne := new(NormalEq)
+	ne.Reset(n)
 	for _, r := range rows {
 		ne.AddRow(r.a, r.k)
 	}
@@ -44,7 +45,7 @@ func freshSolve(rows []obsRow, n int) ([]float64, float64, error) {
 	}
 	out := make([]float64, len(x))
 	copy(out, x)
-	return out, math.Sqrt(ConditionEstimate(a.Gram())), nil
+	return out, math.Sqrt(conditionEstimate(a.Gram())), nil
 }
 
 // TestNormalEqBuildMatchesLeastSquares: a system built purely by AddRow must
@@ -61,7 +62,8 @@ func TestNormalEqBuildMatchesLeastSquares(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		ne := NewNormalEq(n)
+		ne := new(NormalEq)
+		ne.Reset(n)
 		for i := 0; i < rows; i++ {
 			ne.AddRow(a.data[i*n:(i+1)*n], b[i])
 		}
@@ -79,7 +81,7 @@ func TestNormalEqBuildMatchesLeastSquares(t *testing.T) {
 					trial, i, got[i], want[i])
 			}
 		}
-		if gotC, wantC := ne.ConditionEst(), ConditionEst(a); gotC != wantC {
+		if gotC, wantC := ne.ConditionEst(), new(Workspace).ConditionEst(a); gotC != wantC {
 			t.Fatalf("trial %d: ConditionEst = %v, want %v", trial, gotC, wantC)
 		}
 		if ne.Refactorizations() != 1 {
@@ -97,7 +99,8 @@ func TestNormalEqSlideMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, window, slides = 3, 16, 100
 	var rows []obsRow
-	ne := NewNormalEq(n)
+	ne := new(NormalEq)
+	ne.Reset(n)
 	for i := 0; i < window; i++ {
 		r := randomRow(rng, n)
 		rows = append(rows, r)
@@ -144,7 +147,8 @@ func TestNormalEqSlideMatchesFromScratch(t *testing.T) {
 // the cached factor), Solve must surface ErrNotSPD, and the system must
 // recover by refactorizing once new rows restore definiteness.
 func TestNormalEqDowndateNearSingularFallback(t *testing.T) {
-	ne := NewNormalEq(2)
+	ne := new(NormalEq)
+	ne.Reset(2)
 	ne.AddRow([]float64{1, 0}, 1)
 	ne.AddRow([]float64{0, 1}, 1)
 	if _, err := ne.Solve(); err != nil {
@@ -174,7 +178,8 @@ func TestNormalEqSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, window = 3, 16
 	var rows []obsRow
-	ne := NewNormalEq(n)
+	ne := new(NormalEq)
+	ne.Reset(n)
 	for i := 0; i < window+200; i++ {
 		rows = append(rows, randomRow(rng, n))
 	}
@@ -200,7 +205,8 @@ func TestNormalEqSteadyStateZeroAllocs(t *testing.T) {
 
 // TestNormalEqValidation covers the programmer-error panics and Reset.
 func TestNormalEqValidation(t *testing.T) {
-	ne := NewNormalEq(2)
+	ne := new(NormalEq)
+	ne.Reset(2)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -220,10 +226,10 @@ func TestNormalEqValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("NewNormalEq(0) did not panic")
+				t.Error("Reset(0) did not panic")
 			}
 		}()
-		NewNormalEq(0)
+		new(NormalEq).Reset(0)
 	}()
 	ne.AddRow([]float64{1, 0}, 1)
 	ne.AddRow([]float64{0, 1}, 2)
@@ -250,7 +256,8 @@ func FuzzIncrementalSolveEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nOps, colSel uint8) {
 		n := 2 + int(colSel)%2
 		rng := rand.New(rand.NewSource(seed))
-		ne := NewNormalEq(n)
+		ne := new(NormalEq)
+		ne.Reset(n)
 		var rows []obsRow
 		for i := 0; i < n+2; i++ {
 			r := randomRow(rng, n)
@@ -303,4 +310,229 @@ func FuzzIncrementalSolveEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The κ₁ test reference. freshSolve scales FuzzIncrementalSolveEquivalence's
+// tolerance by it, so it keeps its own exact-inverse arithmetic: Gaussian
+// elimination with partial pivoting, an inverse solved column by column,
+// and the 1-norm bound κ₁(A) = ‖A‖₁·‖A⁻¹‖₁.
+
+// solveLU solves the square linear system A·x = b with Gaussian elimination
+// and partial pivoting. A and b are not modified. It returns ErrSingular when
+// a pivot underflows the numerical tolerance.
+func solveLU(a *Dense, b []float64) ([]float64, error) {
+	n := a.Rows()
+	if a.Cols() != n || len(b) != n {
+		return nil, ErrShape
+	}
+	lu := a.Clone()
+	x := make([]float64, n)
+	copy(x, b)
+
+	scale := lu.MaxAbs()
+	if scale == 0 {
+		return nil, ErrSingular
+	}
+	tol := 1e-13 * scale
+
+	for k := 0; k < n; k++ {
+		// Partial pivoting: largest |entry| in column k at or below the
+		// diagonal.
+		p := k
+		maxAbs := math.Abs(lu.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if a := math.Abs(lu.At(i, k)); a > maxAbs {
+				maxAbs, p = a, i
+			}
+		}
+		if maxAbs <= tol {
+			return nil, ErrSingular
+		}
+		if p != k {
+			swapRows(lu, p, k)
+			x[p], x[k] = x[k], x[p]
+		}
+		// Eliminate below the pivot.
+		piv := lu.At(k, k)
+		for i := k + 1; i < n; i++ {
+			f := lu.At(i, k) / piv
+			if f == 0 {
+				continue
+			}
+			lu.Set(i, k, 0)
+			for j := k + 1; j < n; j++ {
+				lu.Set(i, j, lu.At(i, j)-f*lu.At(k, j))
+			}
+			x[i] -= f * x[k]
+		}
+	}
+	// Back substitution.
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= lu.At(i, j) * x[j]
+		}
+		x[i] = s / lu.At(i, i)
+	}
+	return x, nil
+}
+
+func swapRows(m *Dense, i, j int) {
+	ri := m.data[i*m.cols : (i+1)*m.cols]
+	rj := m.data[j*m.cols : (j+1)*m.cols]
+	for k := range ri {
+		ri[k], rj[k] = rj[k], ri[k]
+	}
+}
+
+// inverse returns A⁻¹ computed column-by-column via solveLU.
+func inverse(a *Dense) (*Dense, error) {
+	n := a.Rows()
+	if a.Cols() != n {
+		return nil, ErrShape
+	}
+	inv := NewDense(n, n)
+	e := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[j] = 1
+		col, err := solveLU(a, e)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			inv.Set(i, j, col[i])
+		}
+	}
+	return inv, nil
+}
+
+// conditionEstimate returns the 1-norm condition number of a square matrix,
+// κ₁(A) = ‖A‖₁·‖A⁻¹‖₁, or +Inf for singular matrices.
+func conditionEstimate(a *Dense) float64 {
+	inv, err := inverse(a)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return norm1(a) * norm1(inv)
+}
+
+func norm1(a *Dense) float64 {
+	var mx float64
+	for j := 0; j < a.Cols(); j++ {
+		var s float64
+		for i := 0; i < a.Rows(); i++ {
+			s += math.Abs(a.At(i, j))
+		}
+		if s > mx {
+			mx = s
+		}
+	}
+	return mx
+}
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Dense {
+	m := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+func TestSolveLUKnownSystem(t *testing.T) {
+	a := mustFromRows(t, [][]float64{
+		{2, 1, -1},
+		{-3, -1, 2},
+		{-2, 1, 2},
+	})
+	x, err := solveLU(a, []float64{8, -11, -3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vecAlmostEq(x, []float64{2, 3, -1}, 1e-10) {
+		t.Errorf("x = %v, want [2 3 -1]", x)
+	}
+}
+
+func TestSolveLUSingular(t *testing.T) {
+	a := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
+	if _, err := solveLU(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
+		t.Errorf("singular err = %v", err)
+	}
+	zero := NewDense(2, 2)
+	if _, err := solveLU(zero, []float64{0, 0}); !errors.Is(err, ErrSingular) {
+		t.Errorf("zero-matrix err = %v", err)
+	}
+}
+
+func TestSolveLUShape(t *testing.T) {
+	a := NewDense(2, 3)
+	if _, err := solveLU(a, []float64{1, 2}); !errors.Is(err, ErrShape) {
+		t.Errorf("non-square err = %v", err)
+	}
+	if _, err := solveLU(identity(2), []float64{1}); !errors.Is(err, ErrShape) {
+		t.Errorf("rhs-length err = %v", err)
+	}
+}
+
+func TestSolveLURandomRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(8)
+		a := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, rng.NormFloat64())
+			}
+			// Diagonal dominance keeps the system well conditioned.
+			a.Set(i, i, a.At(i, i)+float64(n)+1)
+		}
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = rng.NormFloat64()
+		}
+		got, err := solveLU(a, mulVec(a, want))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !vecAlmostEq(got, want, 1e-8) {
+			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
+		}
+	}
+}
+
+func TestInverse(t *testing.T) {
+	a := mustFromRows(t, [][]float64{{4, 7}, {2, 6}})
+	inv, err := inverse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prod := matMul(a, inv); !matAlmostEq(prod, identity(2), 1e-12) {
+		t.Errorf("A·A⁻¹ != I:\n%v", prod)
+	}
+	if _, err := inverse(NewDense(2, 3)); !errors.Is(err, ErrShape) {
+		t.Errorf("shape err = %v", err)
+	}
+	sing := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
+	if _, err := inverse(sing); !errors.Is(err, ErrSingular) {
+		t.Errorf("singular err = %v", err)
+	}
+}
+
+func TestConditionEstimate(t *testing.T) {
+	if got := conditionEstimate(identity(3)); math.Abs(got-1) > 1e-10 {
+		t.Errorf("cond(I) = %v, want 1", got)
+	}
+	sing := mustFromRows(t, [][]float64{{1, 2}, {2, 4}})
+	if got := conditionEstimate(sing); !math.IsInf(got, 1) {
+		t.Errorf("cond(singular) = %v, want +Inf", got)
+	}
+	// Ill-conditioned matrix should report a large condition number.
+	ill := mustFromRows(t, [][]float64{{1, 1}, {1, 1 + 1e-10}})
+	if got := conditionEstimate(ill); got < 1e8 {
+		t.Errorf("cond(ill) = %v, want large", got)
+	}
 }

@@ -5,12 +5,11 @@ import (
 	"math"
 )
 
-// Workspace is a caller-owned scratch arena for the small least-squares
-// solves on LION's hot path. Its methods mirror the package-level functions
-// (LeastSquares, WeightedLeastSquares, Residuals, ConditionEst) arithmetic-
-// for-arithmetic — same kernels, same accumulation order — so results are
-// bit-identical, but all intermediate storage lives in the workspace and is
-// reused across calls. In steady state (stable problem dimensions) a
+// Workspace is a caller-owned scratch arena for LION's least-squares
+// solves, and the only implementation of them: the package-level
+// LeastSquares, WeightedLeastSquares and Residuals each run a method here
+// on a fresh workspace. All intermediate storage lives in the workspace and
+// is reused across calls, so in steady state (stable problem dimensions) a
 // workspace-based solve performs zero heap allocations.
 //
 // Ownership rules, unlike Dense methods:
@@ -23,9 +22,8 @@ import (
 //     session / worker.
 //
 // The zero value is ready to use; buffers grow on demand and are retained.
-// The rare rank-deficient QR fallback still allocates — it is off the steady
-// -state path by construction and keeping it on the shared allocating code
-// path keeps the fallback arithmetic identical to the non-workspace solvers.
+// The rare rank-deficient QR fallback still allocates; it is off the
+// steady-state path by construction.
 type Workspace struct {
 	gram Dense     // AᵀA or AᵀWA scratch
 	chol Dense     // Cholesky factor scratch
@@ -46,11 +44,10 @@ func grow(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// LeastSquares is the workspace form of the package-level LeastSquares: the
-// ordinary least-squares solution of A·x = b via the normal equations with a
-// Cholesky factorization, falling back to Householder QR when the Gram
-// matrix is not numerically SPD. The returned slice aliases workspace
-// scratch and is valid until the next call on ws.
+// LeastSquares returns the ordinary least-squares solution of A·x = b via
+// the normal equations with a Cholesky factorization, falling back to
+// Householder QR when the Gram matrix is not numerically SPD. The returned
+// slice aliases workspace scratch and is valid until the next call on ws.
 func (ws *Workspace) LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	if a.Rows() != len(b) {
 		return nil, ErrShape
@@ -82,9 +79,10 @@ func (ws *Workspace) LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	return ws.x, nil
 }
 
-// WeightedLeastSquares is the workspace form of the package-level
-// WeightedLeastSquares: X* = (AᵀWA)⁻¹AᵀWb with W = diag(w). The returned
-// slice aliases workspace scratch and is valid until the next call on ws.
+// WeightedLeastSquares returns X* = (AᵀWA)⁻¹AᵀWb with W = diag(w),
+// falling back to QR on the square-root-weighted system when AᵀWA is not
+// numerically SPD. The returned slice aliases workspace scratch and is valid
+// until the next call on ws.
 func (ws *Workspace) WeightedLeastSquares(a *Dense, b, w []float64) ([]float64, error) {
 	if a.Rows() != len(b) || a.Rows() != len(w) {
 		return nil, ErrShape
@@ -129,11 +127,10 @@ func (ws *Workspace) WeightedLeastSquares(a *Dense, b, w []float64) ([]float64, 
 	return ws.x, nil
 }
 
-// Residuals is the workspace form of the package-level Residuals,
-// r = A·x − b. The returned slice aliases workspace scratch and is valid
-// until the next call on ws. x may alias a previous return from ws (the
-// common IRLS pattern) because it is fully read before res is written only
-// when they do not overlap — res uses dedicated scratch, never ws.x.
+// Residuals returns r = A·x − b. The returned slice aliases workspace
+// scratch and is valid until the next call on ws. x may be a slice that an
+// earlier solve on ws returned (the IRLS pattern): r is written to its own
+// scratch, never to ws.x.
 func (ws *Workspace) Residuals(a *Dense, x, b []float64) ([]float64, error) {
 	if a.Cols() != len(x) || a.Rows() != len(b) {
 		return nil, ErrShape
@@ -146,9 +143,17 @@ func (ws *Workspace) Residuals(a *Dense, x, b []float64) ([]float64, error) {
 	return ws.res, nil
 }
 
-// ConditionEst is the workspace form of the package-level ConditionEst: the
-// Cholesky-diagonal estimate of κ₂(A), +Inf when AᵀA is not numerically SPD,
-// 1 for empty input.
+// ConditionEst returns a cheap order-of-magnitude estimate of the 2-norm
+// condition number κ₂(A) of a tall matrix A, from the Cholesky factor of its
+// Gram matrix: with AᵀA = L·Lᵀ,
+//
+//	κ₂(A) = √κ₂(AᵀA) ≥ max_i L_ii / min_i L_ii.
+//
+// The diagonal ratio is a standard lower-bound estimate — exact for diagonal
+// systems, within a small factor for the well-scaled tall-skinny systems
+// LION builds — at the cost of one Gram product, far cheaper than an SVD.
+// It returns +Inf when the Gram matrix is not numerically SPD (a
+// rank-deficient system) and 1 for empty input.
 func (ws *Workspace) ConditionEst(a *Dense) float64 {
 	if a.Rows() == 0 || a.Cols() == 0 {
 		return 1
@@ -163,9 +168,10 @@ func (ws *Workspace) ConditionEst(a *Dense) float64 {
 	return cholDiagRatio(&ws.chol)
 }
 
-// cholDiagRatio returns max|L_ii| / min|L_ii| for a Cholesky factor, the
-// condition estimate shared by ConditionEst and NormalEq.ConditionEst. It
-// returns +Inf when the smallest diagonal entry is zero.
+// cholDiagRatio returns max|L_ii| / min|L_ii| for a Cholesky factor: the
+// one condition estimate, shared by Workspace.ConditionEst and
+// NormalEq.ConditionEst. It returns +Inf when the smallest diagonal entry is
+// zero.
 func cholDiagRatio(l *Dense) float64 {
 	lo, hi := math.Inf(1), 0.0
 	for i := 0; i < l.Rows(); i++ {

@@ -80,10 +80,6 @@ func (t *Tracer) Reset() {
 // Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// nopEnd is returned by Span on a nil tracer; a package-level value keeps the
-// disabled path allocation-free.
-var nopEnd = func() {}
-
 func (t *Tracer) emit(e Event) {
 	t.mu.Lock()
 	t.events = append(t.events, e)
@@ -94,27 +90,10 @@ func (t *Tracer) since() int64 {
 	return time.Since(t.start).Microseconds()
 }
 
-// Span emits a span_start event and returns the function that emits the
-// matching span_end (with the span's duration). Usage:
-//
-//	defer tr.Span("solve")()
-func (t *Tracer) Span(span string) func() {
-	if t == nil {
-		return nopEnd
-	}
-	begin := t.since()
-	t.emit(Event{TMicros: begin, Kind: KindSpanStart, Span: span})
-	return func() {
-		end := t.since()
-		t.emit(Event{TMicros: end, Kind: KindSpanEnd, Span: span, DurMicros: end - begin})
-	}
-}
-
-// SpanMark is the handle-based counterpart of Span: a value-type span handle
-// whose End emits the matching span_end. Unlike Span, which allocates a
-// closure per call, SpanAt/End moves only a three-word struct, so hot-path
-// stages (the engine dispatch path) can bracket work at zero heap cost even
-// when the tracer is enabled — and at literally zero cost when it is nil.
+// SpanMark is a value-type span handle whose End emits the matching
+// span_end. SpanAt/End moves only a three-word struct, so hot-path stages
+// (the engine dispatch path) can bracket work at zero heap cost even when
+// the tracer is enabled — and at literally zero cost when it is nil.
 type SpanMark struct {
 	t     *Tracer
 	span  string
@@ -122,12 +101,13 @@ type SpanMark struct {
 }
 
 // SpanAt emits a span_start event and returns the mark whose End emits the
-// matching span_end. Usage on hot paths, where Span's closure would allocate:
+// matching span_end (with the span's duration). Usage:
 //
 //	mark := tr.SpanAt("window_solve")
 //	... work ...
 //	mark.End()
 //
+// or, for a span covering the rest of a function, defer tr.SpanAt("solve").End().
 // A nil tracer returns the zero mark; both calls are then no-ops.
 func (t *Tracer) SpanAt(span string) SpanMark {
 	if t == nil {

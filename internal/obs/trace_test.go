@@ -14,11 +14,11 @@ import (
 func TestTracingZeroOverheadWhenNil(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		end := tr.Span("solve")
+		mark := tr.SpanAt("solve")
 		tr.IRLSIter("solve", 1, 0.5, 2, 10)
 		tr.Candidate("adaptive", 0.8, 0.2, 1e-3, nil)
 		tr.Note("solve", "ignored")
-		end()
+		mark.End()
 		tr.Reset()
 		if tr.Enabled() || tr.Len() != 0 || tr.Events() != nil {
 			t.Fatal("nil tracer reported state")
@@ -29,8 +29,8 @@ func TestTracingZeroOverheadWhenNil(t *testing.T) {
 	}
 }
 
-// TestSpanAtMatchesSpan proves the handle-based variant emits the same event
-// pair as the closure-based Span, and that the nil path allocates nothing.
+// TestSpanAtMatchesSpan proves a mark's span_end matches its span_start (same
+// span, duration = end − start) and that the nil path allocates nothing.
 func TestSpanAtMatchesSpan(t *testing.T) {
 	tr := NewTracer()
 	mark := tr.SpanAt("dispatch")
@@ -63,12 +63,12 @@ func TestSpanAtMatchesSpan(t *testing.T) {
 
 func TestTracerRecordsOrderedEvents(t *testing.T) {
 	tr := NewTracer()
-	end := tr.Span("solve")
+	mark := tr.SpanAt("solve")
 	tr.IRLSIter("solve", 1, 0.25, 0, 4)
 	tr.IRLSIter("solve", 2, 0.125, 1, 4)
 	tr.Candidate("adaptive", 0.8, 0.2, 2e-4, nil)
 	tr.Candidate("adaptive", 0.6, 0.2, 0, errors.New("no solution"))
-	end()
+	mark.End()
 
 	ev := tr.Events()
 	if len(ev) != 6 {
@@ -104,7 +104,7 @@ func TestTracerRecordsOrderedEvents(t *testing.T) {
 
 func TestTracerNDJSONRoundTrip(t *testing.T) {
 	tr := NewTracer()
-	defer tr.Span("solve")()
+	defer tr.SpanAt("solve").End()
 	tr.IRLSIter("solve", 1, 0.5, 0, 2)
 
 	var buf bytes.Buffer

@@ -107,9 +107,6 @@ type Config struct {
 	// before a candidate is accepted: candRMS ≤ (1−Margin)·activeRMS.
 	// Zero defaults to 0.05; it may be set negative-free only in [0, 1).
 	Margin float64
-	// HoldoutEvery holds out every Nth evidence sample for validation
-	// (the re-solve never sees them). Zero defaults to 4.
-	HoldoutEvery int
 	// MinSamples is the minimum evidence window length for a re-solve;
 	// zero defaults to 64.
 	MinSamples int
@@ -140,13 +137,6 @@ func (c Config) margin() float64 {
 		return 0.05
 	}
 	return c.Margin
-}
-
-func (c Config) holdoutEvery() int {
-	if c.HoldoutEvery <= 1 {
-		return 4
-	}
-	return c.HoldoutEvery
 }
 
 func (c Config) minSamples() int {
@@ -360,11 +350,15 @@ func (c *Controller) evidence(hint string) (tag string, samples []stream.Sample)
 	return tag, samples
 }
 
+// holdoutEvery is the validation stride: split holds out every
+// holdoutEvery-th evidence sample, which the re-solve never sees.
+const holdoutEvery = 4
+
 // split partitions evidence deterministically: every holdoutEvery-th sample
 // is held out for validation, the rest train the re-solve.
-func split(samples []stream.Sample, every int) (trainPos []geom.Vec3, trainPh []float64, holdPos []geom.Vec3, holdPh []float64) {
+func split(samples []stream.Sample) (trainPos []geom.Vec3, trainPh []float64, holdPos []geom.Vec3, holdPh []float64) {
 	for i, s := range samples {
-		if i%every == every-1 {
+		if i%holdoutEvery == holdoutEvery-1 {
 			holdPos = append(holdPos, s.Pos)
 			holdPh = append(holdPh, s.Phase)
 		} else {
@@ -406,7 +400,7 @@ func (c *Controller) run(req request) Event {
 		return ev
 	}
 
-	trainPos, trainPh, holdPos, holdPh := split(samples, c.cfg.holdoutEvery())
+	trainPos, trainPh, holdPos, holdPh := split(samples)
 	activeRMS := calib.OffsetResidualRMS(holdPos, holdPh, active.Center, active.Offset, c.cfg.Lambda)
 	ev.OldRMS = activeRMS
 

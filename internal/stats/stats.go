@@ -1,17 +1,18 @@
 // Package stats provides the small descriptive-statistics toolkit used by
-// the experiment harness: means, standard deviations, percentiles, CDFs,
-// histograms, and a deterministic random source for reproducible
-// simulations.
+// the experiment harness and the solvers: means, standard deviations,
+// percentiles by in-place selection, histograms, and a deterministic random
+// source for reproducible simulations.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned when a statistic of an empty sample is requested.
 var ErrEmpty = errors.New("stats: empty sample")
+
+var errPercentileRange = errors.New("stats: percentile out of [0,100]")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -42,21 +43,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// SampleVariance returns the unbiased sample variance (divisor n−1). It
-// returns 0 for samples with fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
 
 // MeanStd returns the mean and population standard deviation in one pass
 // over the data (Welford's algorithm).
@@ -107,93 +93,82 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
+	return PercentileInPlace(append([]float64(nil), xs...), p)
+}
+
+// PercentileInPlace is Percentile without the copy: it reorders xs in place
+// and selects the order statistics instead of sorting, in O(len(xs))
+// expected time. They are the values sort.Float64s would put at those ranks,
+// NaN first, so the result is bit-identical to interpolating a sorted copy.
+func PercentileInPlace(xs []float64, p float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
+	if !(p >= 0 && p <= 100) {
+		return 0, errPercentileRange
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	selectK(xs, lo)
 	if lo == hi {
-		return sorted[lo], nil
+		return xs[lo], nil
+	}
+	// xs[lo+1:] holds everything ranked above lo; its least is rank hi.
+	vhi := xs[hi]
+	for _, v := range xs[hi+1:] {
+		if less(v, vhi) {
+			vhi = v
+		}
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return xs[lo]*(1-frac) + vhi*frac, nil
 }
 
-// Median returns the 50th percentile.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
+// less is sort.Float64s's order: ascending, with NaN before everything.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
 
-// Summary bundles the descriptive statistics the experiment tables report.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P90    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for empty input.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mean, std := MeanStd(xs)
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	p25, _ := Percentile(xs, 25)
-	med, _ := Median(xs)
-	p75, _ := Percentile(xs, 75)
-	p90, _ := Percentile(xs, 90)
-	return Summary{
-		N:      len(xs),
-		Mean:   mean,
-		Std:    std,
-		Min:    mn,
-		P25:    p25,
-		Median: med,
-		P75:    p75,
-		P90:    p90,
-		Max:    mx,
-	}, nil
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // cumulative probability in (0, 1]
-}
-
-// ECDF returns the empirical cumulative distribution function of xs as a
-// sorted list of points. Duplicate values collapse to the highest
-// probability.
-func ECDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	out := make([]CDFPoint, 0, len(sorted))
-	for i, x := range sorted {
-		p := float64(i+1) / n
-		if len(out) > 0 && out[len(out)-1].X == x {
-			out[len(out)-1].P = p
-			continue
+// selectK rearranges xs in place so xs[k] holds the value sort.Float64s
+// would put there, with xs[:k] ≤ xs[k] ≤ xs[k+1:] in that order. Hoare
+// partitioning with median-of-three pivots; O(len(xs)) expected, zero
+// allocations.
+func selectK(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
 		}
-		out = append(out, CDFPoint{X: x, P: p})
+		if less(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if less(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(xs[i], pivot) {
+				i++
+			}
+			for less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return // xs[j+1 : i] all rank equal to the pivot, k among them
+		}
 	}
-	return out
 }
 
 // Histogram bins xs into nbins equal-width bins over [min, max] and returns

@@ -28,16 +28,6 @@ func TestMeanVarianceStd(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEq(got, 2.5, 1e-12) {
-		t.Errorf("SampleVariance = %v", got)
-	}
-	if got := SampleVariance([]float64{1}); got != 0 {
-		t.Errorf("SampleVariance(single) = %v", got)
-	}
-}
-
 func TestMeanStdMatchesTwoPass(t *testing.T) {
 	xs := []float64{1.5, -2, 0.25, 7, 3, 3, -1}
 	m, s := MeanStd(xs)
@@ -108,42 +98,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if orig[0] != 5 || orig[1] != 1 || orig[2] != 3 {
 		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 10 || !almostEq(s.Mean, 5.5, 1e-12) || s.Min != 1 || s.Max != 10 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if !almostEq(s.Median, 5.5, 1e-12) {
-		t.Errorf("Median = %v", s.Median)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v", err)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	pts := ECDF([]float64{3, 1, 2, 2})
-	if len(pts) != 3 {
-		t.Fatalf("ECDF len = %d, want 3 (duplicates collapsed)", len(pts))
-	}
-	if pts[0].X != 1 || !almostEq(pts[0].P, 0.25, 1e-12) {
-		t.Errorf("pts[0] = %+v", pts[0])
-	}
-	if pts[1].X != 2 || !almostEq(pts[1].P, 0.75, 1e-12) {
-		t.Errorf("pts[1] = %+v", pts[1])
-	}
-	if pts[2].X != 3 || !almostEq(pts[2].P, 1, 1e-12) {
-		t.Errorf("pts[2] = %+v", pts[2])
-	}
-	if got := ECDF(nil); got != nil {
-		t.Errorf("ECDF(nil) = %v", got)
 	}
 }
 
@@ -237,31 +191,6 @@ func TestRNGFork(t *testing.T) {
 	f2 := g.Fork()
 	if f1.Float64() == f2.Float64() && f1.Float64() == f2.Float64() {
 		t.Error("forked streams identical")
-	}
-}
-
-// Property: ECDF is monotone non-decreasing in both X and P and ends at 1.
-func TestECDFPropertyMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		pts := ECDF(xs)
-		if len(xs) == 0 {
-			return pts == nil
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].P < pts[i-1].P {
-				return false
-			}
-		}
-		return almostEq(pts[len(pts)-1].P, 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // Closed-loop recalibration re-exports: the controller behind liond's -recal
 // flag. A RecalController subscribes to a HealthMonitor's alert transitions
-// (HealthConfig.OnTransition via HealthMonitor.SetOnTransition) and, when a
+// (HealthMonitor.SetOnTransition) and, when a
 // calibration-drift alert fires, re-solves the antenna's phase center and
 // Eq. 17 offset from the stream engine's live window, validates the candidate
 // against held-out samples, and hot-swaps the active StreamProfile — with a
