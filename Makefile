@@ -2,17 +2,17 @@ GO ?= go
 
 ## BENCH_BASELINE: the committed lionbench snapshot bench-guard compares
 ## against. Bump when a PR lands a new snapshot.
-BENCH_BASELINE ?= BENCH_14.json
+BENCH_BASELINE ?= BENCH_16.json
 
-.PHONY: check fmt vet build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint
+.PHONY: check fmt vet cross build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint
 
-## check: the CI gate — formatting, vet, build, metric-name linting, the
-## full suite under the race detector (includes the 1k-job batch stress test,
-## the stream concurrent-publisher stress test, and the serial/parallel
-## equivalence tests), the multi-process cluster smoke, the closed-loop
-## recalibration smoke, the load-harness smoke, and the benchmark
-## regression guard.
-check: fmt vet build metriclint race cluster-smoke recal-smoke load-smoke bench-guard
+## check: the CI gate — formatting, vet, the cross-architecture vet and
+## build, build, metric-name linting, the full suite under the race detector
+## (includes the 1k-job batch stress test, the stream concurrent-publisher
+## stress test, and the serial/parallel equivalence tests), the
+## multi-process cluster smoke, the closed-loop recalibration smoke, the
+## load-harness smoke, and the benchmark regression guard.
+check: fmt vet cross build metriclint race cluster-smoke recal-smoke load-smoke bench-guard
 
 ## metriclint: every registered metric name matches lion_[a-z_]+ and is
 ## documented in DESIGN.md section 9.
@@ -26,6 +26,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+## cross: vet and build for architectures without the amd64 assembly, so
+## the portable fallbacks (internal/mat's math.Exp loop) keep compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 build:
 	$(GO) build ./...
@@ -75,8 +81,8 @@ load-smoke:
 
 ## fuzz: short fuzzing passes over the phase-wrap, unwrap, preprocessing,
 ## ingest decoding, histogram wire-form, percentile selection, fused IRWLS
-## reweight-step, and incremental normal-equation solve invariants (their
-## seed corpora also run in every plain `go test`).
+## reweight-step, batch exp, and incremental normal-equation solve
+## invariants (their seed corpora also run in every plain `go test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
 	$(GO) test -run '^$$' -fuzz FuzzUnwrap -fuzztime 30s ./internal/dsp
@@ -86,4 +92,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistJSON -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzReweightEquivalence -fuzztime 30s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzExpInto -fuzztime 30s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalSolveEquivalence -fuzztime 30s ./internal/mat

@@ -139,7 +139,7 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 // must be pre-initialised to ones and is overwritten. Both SolveSystemInto
 // and the line session route through this one loop, which is what keeps
 // their IRLS arithmetic identical. The residual norm each trace event
-// carries is computed only when opts.Trace is set.
+// carries is the step's own ResNorm, so tracing adds no pass over the rows.
 func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 	weights []float64, opts SolveOptions, condEst float64) (int, error) {
 	iterations := 0
@@ -161,7 +161,7 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 		}
 		iterations++
 		if opts.Trace != nil {
-			opts.Trace.IRLSIter(opts.traceSpan(), iterations, mat.Norm2(rw.Res), rw.FloorHits, condEst)
+			opts.Trace.IRLSIter(opts.traceSpan(), iterations, rw.ResNorm, rw.FloorHits, condEst)
 		}
 		moved := 0.0
 		for i := range x {

@@ -91,11 +91,12 @@ func sameBits(a, b []float64) bool {
 }
 
 // FuzzReweightEquivalence pins Workspace.Reweight to the unfused IRWLS step
-// it replaces — Residuals, stats.MeanStd, the exp weights of Eq. 15 and
-// WeightedLeastSquares — with math.Float64bits equality on the residuals,
-// mean, standard deviation, weights, floor count and iterate, and the same
-// error, across 1–4 columns, zero rows and coefficients, underflowing zero
-// weights, σ = 0, NaN weights and the non-SPD fallback.
+// it replaces — Residuals, Norm2, stats.MeanStd, the math.Exp weights of
+// Eq. 15 and WeightedLeastSquares — with math.Float64bits equality on the
+// residuals, their norm, mean, standard deviation, weights, floor count and
+// iterate, and the same error, across 1–4 columns, zero rows and
+// coefficients, underflowing zero weights, σ = 0, NaN weights and the
+// non-SPD fallback.
 func FuzzReweightEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(2), uint8(0))
 	f.Add(int64(2), uint16(7), uint8(1), uint8(0))
@@ -151,6 +152,9 @@ func FuzzReweightEquivalence(f *testing.F) {
 		}
 		if !sameBits([]float64{got.Mean, got.Std}, []float64{mean, std}) {
 			t.Fatalf("mean/std = %v/%v, want %v/%v", got.Mean, got.Std, mean, std)
+		}
+		if norm := Norm2(wantRes); !sameBits([]float64{got.ResNorm}, []float64{norm}) {
+			t.Fatalf("residual norm %v, want %v", got.ResNorm, norm)
 		}
 		if !sameBits(w, wantW) {
 			t.Fatalf("weights differ:\n got %v\nwant %v", w, wantW)

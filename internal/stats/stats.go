@@ -59,34 +59,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return m, std
 }
 
-// Min returns the smallest element. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element. It returns ErrEmpty for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (p in [0, 100]) of xs using linear
 // interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -169,39 +141,6 @@ func selectK(xs []float64, k int) {
 			return // xs[j+1 : i] all rank equal to the pivot, k among them
 		}
 	}
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and returns
-// the bin edges (nbins+1 values) and counts (nbins values).
-func Histogram(xs []float64, nbins int) (edges []float64, counts []int, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if nbins <= 0 {
-		return nil, nil, errors.New("stats: nbins must be positive")
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if mn == mx {
-		mx = mn + 1
-	}
-	edges = make([]float64, nbins+1)
-	width := (mx - mn) / float64(nbins)
-	for i := range edges {
-		edges[i] = mn + float64(i)*width
-	}
-	counts = make([]int, nbins)
-	for _, x := range xs {
-		b := int((x - mn) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts, nil
 }
 
 // RMS returns the root mean square of xs.

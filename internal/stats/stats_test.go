@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -43,24 +44,6 @@ func TestMeanStdMatchesTwoPass(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Errorf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 5 {
-		t.Errorf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Min(nil) err = %v", err)
-	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Max(nil) err = %v", err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct {
@@ -98,29 +81,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if orig[0] != 5 || orig[1] != 1 || orig[2] != 3 {
 		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts, err := Histogram([]float64{0, 0.1, 0.9, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) != 3 || len(counts) != 2 {
-		t.Fatalf("shapes: %d edges, %d counts", len(edges), len(counts))
-	}
-	if counts[0] != 2 || counts[1] != 2 {
-		t.Errorf("counts = %v", counts)
-	}
-	if _, _, err := Histogram(nil, 2); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("nbins=0 accepted")
-	}
-	// Degenerate constant input must not divide by zero.
-	if _, counts, err := Histogram([]float64{2, 2, 2}, 3); err != nil || counts[0] != 3 {
-		t.Errorf("constant histogram = %v, %v", counts, err)
 	}
 }
 
@@ -207,8 +167,7 @@ func TestMeanPropertyBounded(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		return m >= mn-1e-9 && m <= mx+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -55,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 		// re-solve runs off the hot path (once per drift alert, on the
 		// controller's goroutine), so only its deterministic allocs/op is a
 		// product requirement — wall clock there is all measurement noise.
-		nsNames = fs.String("ns", "locate_2d_line,stream_resolve_incremental,wire_decode",
+		nsNames = fs.String("ns", "locate_2d_line,window_solve_portal,stream_resolve_incremental,wire_decode",
 			"comma-separated benchmark names whose ns_per_op is guarded")
 		macro = fs.Bool("macro", true,
 			"guard macro SLO fields against their declared targets")
