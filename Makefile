@@ -2,17 +2,18 @@ GO ?= go
 
 ## BENCH_BASELINE: the committed lionbench snapshot bench-guard compares
 ## against. Bump when a PR lands a new snapshot.
-BENCH_BASELINE ?= BENCH_16.json
+BENCH_BASELINE ?= BENCH_17.json
 
-.PHONY: check fmt vet cross build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint
+.PHONY: check fmt vet cross build test race generic-goldens bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint
 
 ## check: the CI gate — formatting, vet, the cross-architecture vet and
 ## build, build, metric-name linting, the full suite under the race detector
 ## (includes the 1k-job batch stress test, the stream concurrent-publisher
-## stress test, and the serial/parallel equivalence tests), the
-## multi-process cluster smoke, the closed-loop recalibration smoke, the
-## load-harness smoke, and the benchmark regression guard.
-check: fmt vet cross build metriclint race cluster-smoke recal-smoke load-smoke bench-guard
+## stress test, and the serial/parallel equivalence tests), the solve
+## goldens once more on the portable kernels, the multi-process cluster
+## smoke, the closed-loop recalibration smoke, the load-harness smoke, and
+## the benchmark regression guard.
+check: fmt vet cross build metriclint race generic-goldens cluster-smoke recal-smoke load-smoke bench-guard
 
 ## metriclint: every registered metric name matches lion_[a-z_]+ and is
 ## documented in DESIGN.md section 9.
@@ -41,6 +42,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## generic-goldens: the two bit-for-bit solve goldens under
+## GODEBUG=cpu.avx2=off, which turns internal/mat's AVX2 kernels off, so
+## the portable path is pinned on AVX2 hosts too.
+generic-goldens:
+	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '^TestSolveWindowGolden$$' ./internal/stream
+	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '^TestScanSolversGolden$$' ./internal/core
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -81,7 +89,8 @@ load-smoke:
 
 ## fuzz: short fuzzing passes over the phase-wrap, unwrap, preprocessing,
 ## ingest decoding, histogram wire-form, percentile selection, fused IRWLS
-## reweight-step, batch exp, and incremental normal-equation solve
+## reweight-step, its 2-column AVX2 pass, batch exp, and incremental
+## normal-equation solve
 ## invariants (their seed corpora also run in every plain `go test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
@@ -92,5 +101,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistJSON -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzReweightEquivalence -fuzztime 30s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzReweightKernel -fuzztime 30s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzExpInto -fuzztime 30s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalSolveEquivalence -fuzztime 30s ./internal/mat

@@ -21,6 +21,7 @@ import (
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/health"
 	"github.com/rfid-lion/lion/internal/load"
+	"github.com/rfid-lion/lion/internal/mat"
 	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stats"
@@ -103,6 +104,66 @@ func portalWindows() [][]stream.Sample {
 	return wins
 }
 
+// benchEngine times the engine path per accepted sample: ingest (through
+// IngestTaggedTraced with the span log armed but the batch never sampled
+// when traced is set, through Ingest otherwise), snapshot dispatch, the
+// solve, publication and Flush, over a window of the given size re-solved
+// on every sample. The tag ping-pongs along a 2.4 m track in 2.5 mm steps,
+// so the stream never has a position seam regardless of b.N. cfg supplies
+// the solver; the window, cadence and worker fields are set here. Every
+// timed solve must succeed.
+func benchEngine(b *testing.B, lambda float64, cfg stream.Config, window int, traced bool) {
+	cfg.WindowSize, cfg.MinSamples, cfg.SolveEvery, cfg.Workers = window, 16, 1, 1
+	if traced {
+		cfg.Spans = obs.NewSpanLog("bench", 256)
+	}
+	e, err := stream.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	ant := geom.V3(0, 0.9, 0.4)
+	ctx := context.Background()
+	sampler := obs.NewSampler(1<<30, 5) // samples once, then never again
+	sampler.Next()
+	batch := make([]stream.Tagged, 1)
+	n := 0
+	step := func() {
+		const half = 960 // samples per one-way pass
+		k := n % (2 * half)
+		if k > half {
+			k = 2*half - k
+		}
+		pos := geom.V3(-1.2+2.4*float64(k)/half, 0, 0.4)
+		phase := rf.WrapPhase(rf.PhaseOfDistance(ant.Dist(pos), lambda))
+		s := stream.Sample{Time: time.Duration(n) * time.Millisecond, Pos: pos, Phase: phase}
+		if traced {
+			batch[0] = stream.Tagged{Tag: "T1", Sample: s}
+			if acc, _, err := e.IngestTaggedTraced(batch, sampler.Next(), time.Time{}); err != nil || acc != 1 {
+				b.Fatalf("ingest: accepted %d err %v", acc, err)
+			}
+		} else if err := e.Ingest("T1", s); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	for n < 400 {
+		step()
+	}
+	before := e.Metrics().SolveErrors
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	if failed := e.Metrics().SolveErrors - before; failed > 0 {
+		b.Fatalf("%d of %d solves failed", failed, b.N)
+	}
+}
+
 // benchSuite enumerates the tracked micro-benchmarks. Names are stable
 // identifiers: comparisons across snapshots key on them.
 func benchSuite() []struct {
@@ -112,6 +173,7 @@ func benchSuite() []struct {
 	lambda := rf.DefaultBand().Wavelength()
 	lineObs := benchObs(lambda)
 	opts := core.DefaultSolveOptions()
+	defaultSolver := stream.Line2DSolver(lambda, []float64{0.2}, true, opts)
 
 	monitored, err := health.New(health.Config{Calibrations: []health.Calibration{{
 		Antenna: "A1", Center: geom.V3(0, 0.9, 0.4), Offset: 1.3, Lambda: lambda,
@@ -211,49 +273,23 @@ func benchSuite() []struct {
 			}
 		}},
 		{"stream_engine_resolve", func(b *testing.B) {
-			// The full engine path per accepted sample: Ingest, snapshot
-			// dispatch, unwrap, incremental locate, publication, Flush. The
-			// tag ping-pongs along the track so the stream never has a
-			// position seam regardless of b.N.
+			// The full engine path per accepted sample on the opt-in
+			// incremental solver: Ingest, snapshot dispatch, unwrap,
+			// incremental locate, publication, Flush.
 			factory, err := stream.IncrementalLine2DFactory(lambda, []float64{0.05, 0.12}, true, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := stream.New(stream.Config{
-				WindowSize: 120, MinSamples: 16, SolveEvery: 1, Workers: 1,
-				SolverFactory: factory,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close(context.Background())
-			ant := geom.V3(0, 0.9, 0.4)
-			ctx := context.Background()
-			n := 0
-			step := func() {
-				const half = 960 // samples per one-way pass
-				k := n % (2 * half)
-				if k > half {
-					k = 2*half - k
-				}
-				pos := geom.V3(-1.2+2.4*float64(k)/half, 0, 0.4)
-				phase := rf.WrapPhase(rf.PhaseOfDistance(ant.Dist(pos), lambda))
-				s := stream.Sample{Time: time.Duration(n) * time.Millisecond, Pos: pos, Phase: phase}
-				if err := e.Ingest("T1", s); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.Flush(ctx); err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			for n < 400 {
-				step()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
+			benchEngine(b, lambda, stream.Config{SolverFactory: factory}, 120, false)
+		}},
+		{"stream_engine_resolve_default", func(b *testing.B) {
+			// stream_engine_resolve on liond's default solver and window:
+			// the stateless SolveWindow path with the 9-sample smoother and
+			// the line solver at a 0.2 m interval over 256 samples (a
+			// window folded at a turn of the track still spans the
+			// interval). Its allocations are the fresh Solution each solve
+			// returns (see TestSolveWindowAllocs).
+			benchEngine(b, lambda, stream.Config{Solver: defaultSolver, Smooth: 9}, 256, false)
 		}},
 		{"staleness_overhead", func(b *testing.B) {
 			// The same per-sample engine step as stream_engine_resolve, but
@@ -268,47 +304,12 @@ func benchSuite() []struct {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := stream.New(stream.Config{
-				WindowSize: 120, MinSamples: 16, SolveEvery: 1, Workers: 1,
-				SolverFactory: factory,
-				Spans:         obs.NewSpanLog("bench", 256),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close(context.Background())
-			ant := geom.V3(0, 0.9, 0.4)
-			ctx := context.Background()
-			sampler := obs.NewSampler(1<<30, 5) // samples once, then never again
-			sampler.Next()
-			batch := make([]stream.Tagged, 1)
-			n := 0
-			step := func() {
-				const half = 960
-				k := n % (2 * half)
-				if k > half {
-					k = 2*half - k
-				}
-				pos := geom.V3(-1.2+2.4*float64(k)/half, 0, 0.4)
-				phase := rf.WrapPhase(rf.PhaseOfDistance(ant.Dist(pos), lambda))
-				batch[0] = stream.Tagged{Tag: "T1", Sample: stream.Sample{
-					Time: time.Duration(n) * time.Millisecond, Pos: pos, Phase: phase,
-				}}
-				if acc, _, err := e.IngestTaggedTraced(batch, sampler.Next(), time.Time{}); err != nil || acc != 1 {
-					b.Fatalf("ingest: accepted %d err %v", acc, err)
-				}
-				if err := e.Flush(ctx); err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			for n < 400 {
-				step()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
+			benchEngine(b, lambda, stream.Config{SolverFactory: factory}, 120, true)
+		}},
+		{"staleness_overhead_default", func(b *testing.B) {
+			// staleness_overhead on liond's default solver: tracing that
+			// samples no batch adds no allocation here either.
+			benchEngine(b, lambda, stream.Config{Solver: defaultSolver, Smooth: 9}, 256, true)
 		}},
 		{"wire_decode", func(b *testing.B) {
 			// One 4096-sample binary ingest body decoded per op — the
@@ -416,6 +417,7 @@ func writeBenchJSON(path string, stdout io.Writer) error {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		MaxProcs:  runtime.GOMAXPROCS(0),
+		Kernels:   mat.Kernels(),
 	}
 	for _, bm := range benchSuite() {
 		fn := bm.fn

@@ -57,11 +57,15 @@ func (m Macro) Pass() bool { return m.Target == 0 || m.Value <= m.Target }
 
 // Snapshot is the top-level BENCH_<pr>.json document.
 type Snapshot struct {
-	Schema     string  `json:"schema"`
-	GoVersion  string  `json:"go_version"`
-	GOOS       string  `json:"goos"`
-	GOARCH     string  `json:"goarch"`
-	MaxProcs   int     `json:"gomaxprocs"`
+	Schema    string `json:"schema"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	MaxProcs  int    `json:"gomaxprocs"`
+	// Kernels is mat.Kernels() of the measuring process: which numeric
+	// kernels (AVX2 assembly or portable Go) the solves ran on. Empty in
+	// snapshots older than the field.
+	Kernels    string  `json:"kernels,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
 	// Macro is the macro SLO section, absent from pure lionbench snapshots.
 	Macro []Macro `json:"macro,omitempty"`

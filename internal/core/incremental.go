@@ -112,13 +112,18 @@ type LineSession struct {
 	pairs [][]linePair // per interval, sorted by first index
 	next  [][]linePair // scratch buffers for rescans (double-buffered)
 
-	ne  mat.NormalEq
-	ls  mat.Workspace
-	a   mat.Dense // assembled reduced system (rows×2) for IRLS/residuals
-	kv  []float64
-	x   []float64
-	wts []float64
-	dsc []float64 // median-recovery scratch
+	ne mat.NormalEq
+	ls mat.Workspace
+	a  mat.Dense // assembled reduced system (rows×2) for IRLS/residuals
+	kv []float64
+	// assembled reports that a and kv hold the current pair rows, with
+	// colMax their column maxima |α| and |ω|; a rebuild writes them as it
+	// computes the rows, a slide leaves them for solve to assemble.
+	assembled bool
+	colMax    [2]float64
+	x         []float64
+	wts       []float64
+	dsc       []float64 // median-recovery scratch
 
 	sinceRebuild int
 	stats        LineSessionStats
@@ -283,17 +288,19 @@ func (s *LineSession) trySlide(win []PosPhase) bool {
 		s.prof.deltaD = append(s.prof.deltaD, rf.DistanceOfPhaseDelta(th-refTheta, s.lambda))
 	}
 	s.diffPairs()
+	s.assembled = false
 	return true
 }
 
 // rebuild re-anchors the session on win: origin at the window midpoint, û
-// from first to last sample, reference sample at the midpoint index.
+// from first to last sample, reference sample at the midpoint index. One
+// pass over the samples validates them, projects them into the line frame
+// and computes their Δd; one pass over the pairs computes each row once
+// and writes it to the pair cache, the normal equations and the assembled
+// system. A non-finite sample fails the rebuild at its index and leaves
+// the session to rebuild on its next call.
 func (s *LineSession) rebuild(win []PosPhase, dir geom.Vec2) error {
-	for i, o := range win {
-		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
-			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
-		}
-	}
+	s.valid = false
 	s.u = dir.Unit()
 	s.v = s.u.Perp()
 	s.origin = win[len(win)/2].Pos
@@ -304,27 +311,56 @@ func (s *LineSession) rebuild(win []PosPhase, dir geom.Vec2) error {
 	s.world = s.world[:0]
 	s.prof.Obs = s.prof.Obs[:0]
 	s.prof.deltaD = s.prof.deltaD[:0]
-	for _, o := range win {
+	refTheta := win[s.refAbs].Theta
+	for i, o := range win {
+		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
+			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
+		}
 		pu := o.Pos.XY().Sub(s.origin.XY()).Dot(s.u)
 		s.world = append(s.world, o.Pos)
 		s.prof.Obs = append(s.prof.Obs, PosPhase{Pos: geom.V3(pu, 0, 0), Theta: o.Theta})
-	}
-	refTheta := s.prof.Obs[s.refAbs].Theta
-	for _, o := range s.prof.Obs {
 		s.prof.deltaD = append(s.prof.deltaD, rf.DistanceOfPhaseDelta(o.Theta-refTheta, s.lambda))
 	}
 
-	s.ne.Reset(2)
+	nPairs := 0
 	for ivi, iv := range s.intervals {
 		s.pairs[ivi] = s.scanPairs(iv, s.pairs[ivi][:0])
-		for pi := range s.pairs[ivi] {
-			s.addPair(&s.pairs[ivi][pi])
+		nPairs += len(s.pairs[ivi])
+	}
+	s.ne.Reset(2)
+	s.kv = growFloats(s.kv, nPairs)
+	if nPairs > 0 {
+		s.a.Reshape(nPairs, 2)
+	}
+	s.colMax = [2]float64{}
+	r := 0
+	for _, pl := range s.pairs {
+		for pi := range pl {
+			p := &pl[pi]
+			s.addPair(p)
+			s.setRow(r, p)
+			r++
 		}
 	}
+	s.assembled = true
 	s.valid = true
 	s.sinceRebuild = 0
 	s.stats.Rebuilds++
 	return nil
+}
+
+// setRow writes the cached row of p as row r of the assembled system and
+// folds it into the column maxima.
+func (s *LineSession) setRow(r int, p *linePair) {
+	s.a.Set(r, 0, p.a[0])
+	s.a.Set(r, 1, p.a[1])
+	s.kv[r] = p.k
+	if v := math.Abs(p.a[0]); v > s.colMax[0] {
+		s.colMax[0] = v
+	}
+	if v := math.Abs(p.a[1]); v > s.colMax[1] {
+		s.colMax[1] = v
+	}
 }
 
 // scanPairs runs the SeparationPairs greedy scan (shared monotone second
@@ -410,27 +446,24 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 			s.intervals, nPairs, ErrTooFewObservations)
 	}
 
-	// Assemble the reduced system for the IRLS loop and residuals, and run
-	// the same scale/column checks SolveSystem applies to the full matrix
-	// (whose y column is identically zero in the line frame).
-	s.a.Reshape(nPairs, 2)
-	s.kv = growFloats(s.kv, nPairs)
-	r := 0
-	scale, colMaxX := 0.0, 0.0
-	for _, pl := range s.pairs {
-		for _, p := range pl {
-			s.a.Set(r, 0, p.a[0])
-			s.a.Set(r, 1, p.a[1])
-			s.kv[r] = p.k
-			if v := math.Abs(p.a[0]); v > colMaxX {
-				colMaxX = v
+	// Assemble the reduced system for the IRLS loop and residuals (a
+	// rebuild already has), and run the same scale/column checks
+	// SolveSystem applies to the full matrix (whose y column is
+	// identically zero in the line frame).
+	if !s.assembled {
+		s.a.Reshape(nPairs, 2)
+		s.kv = growFloats(s.kv, nPairs)
+		s.colMax = [2]float64{}
+		r := 0
+		for _, pl := range s.pairs {
+			for pi := range pl {
+				s.setRow(r, &pl[pi])
+				r++
 			}
-			if v := math.Abs(p.a[1]); v > scale {
-				scale = v
-			}
-			r++
 		}
+		s.assembled = true
 	}
+	colMaxX, scale := s.colMax[0], s.colMax[1]
 	if colMaxX > scale {
 		scale = colMaxX
 	}
@@ -464,12 +497,8 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 	if err != nil {
 		return err
 	}
-	res, err := s.ls.Residuals(&s.a, s.x, s.kv)
-	if err != nil {
-		return fmt.Errorf("residuals: %w", err)
-	}
 	fillSolution(sol, 2, 1, [3]bool{true, false, false}, lineKeep,
-		s.x, res, s.wts, iterations, condEst)
+		&s.a, s.kv, s.x, s.wts, iterations, condEst)
 	return nil
 }
 

@@ -67,15 +67,19 @@ func (p *Preprocessor) Preprocess(positions []geom.Vec3, wrapped []float64, smoo
 		return nil, fmt.Errorf("core: %d positions vs %d phases: %w",
 			len(positions), len(wrapped), ErrTooFewObservations)
 	}
+	// One pass checks both inputs; a non-finite position anywhere is
+	// reported before a non-finite phase, each at its first index.
+	badPhase := -1
 	for i, pos := range positions {
 		if !pos.IsFinite() {
 			return nil, fmt.Errorf("core: position %d is %v: %w", i, pos, ErrNonFiniteInput)
 		}
-	}
-	for i, th := range wrapped {
-		if math.IsNaN(th) || math.IsInf(th, 0) {
-			return nil, fmt.Errorf("core: phase %d is %v: %w", i, th, ErrNonFiniteInput)
+		if th := wrapped[i]; badPhase < 0 && (math.IsNaN(th) || math.IsInf(th, 0)) {
+			badPhase = i
 		}
+	}
+	if badPhase >= 0 {
+		return nil, fmt.Errorf("core: phase %d is %v: %w", badPhase, wrapped[badPhase], ErrNonFiniteInput)
 	}
 	p.theta = dsp.UnwrapInto(p.theta, wrapped)
 	theta := p.theta

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/mat"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/sim"
 	"github.com/rfid-lion/lion/internal/traject"
@@ -242,5 +244,32 @@ func TestScanSolversGolden(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Fatalf("%d of %d solves differ from %s", bad, len(got), scanGoldenPath)
+	}
+}
+
+// TestScanSolversGoldenGenericKernels re-runs TestScanSolversGolden in a child
+// process under GODEBUG=cpu.avx2=off, where mat must choose its portable
+// kernels (the child checks mat.Kernels), so the golden also pins the path
+// that hosts without AVX2 take.
+func TestScanSolversGoldenGenericKernels(t *testing.T) {
+	if want := os.Getenv("LION_WANT_KERNELS"); want != "" {
+		if got := mat.Kernels(); got != want {
+			t.Fatalf("mat.Kernels() = %q under GODEBUG=%q, want %q", got, os.Getenv("GODEBUG"), want)
+		}
+		return
+	}
+	if testing.Short() {
+		t.Skip("starts a child process")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^(TestScanSolversGolden|"+t.Name()+")$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.avx2=off", "LION_WANT_KERNELS=generic")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("GODEBUG=cpu.avx2=off: %v\n%s", err, out)
+	}
+	for _, name := range []string{"TestScanSolversGolden", t.Name()} {
+		if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+			t.Fatalf("the child did not pass %s:\n%s", name, out)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/mat"
-	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // SolveWorkspace is the caller-owned scratch for SolveSystemInto. One
@@ -121,12 +120,7 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 		return err
 	}
 
-	res, err := ws.ls.Residuals(a, ws.x, sys.K)
-	if err != nil {
-		return fmt.Errorf("residuals: %w", err)
-	}
-
-	fillSolution(sol, sys.Dim, numRefs, known, ws.keep, ws.x, res, ws.weights,
+	fillSolution(sol, sys.Dim, numRefs, known, ws.keep, a, sys.K, ws.x, ws.weights,
 		iterations, condEst)
 	return nil
 }
@@ -181,15 +175,46 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 // slice into sol-owned backing storage. Shared by SolveSystemInto and the
 // incremental line session so the scatter/summary arithmetic has exactly one
 // definition.
+//
+// One pass over the rows of the reduced system a·x ≈ k writes the final
+// residuals r = a·x − k and every summary of them: FinalResidual and
+// RMSResidual share one Σr², and MeanAbsResidual and the weighted mean
+// each keep their own sum in row order, so every value is bit-identical
+// to computing the residuals first and summarising them in separate
+// passes.
 func fillSolution(sol *Solution, dim, numRefs int, known [3]bool, keep []int,
-	x, res, weights []float64, iterations int, condEst float64) {
+	a *mat.Dense, k, x, weights []float64, iterations int, condEst float64) {
+	rows, n := a.Rows(), a.Cols()
 	sol.Known = known
 	sol.Dim = dim
-	sol.Residuals = append(sol.Residuals[:0], res...)
+	sol.Residuals = growFloats(sol.Residuals, rows)
 	sol.Weights = append(sol.Weights[:0], weights...)
 	sol.Iterations = iterations
-	sol.FinalResidual = mat.Norm2(res)
 	sol.ConditionEstimate = condEst
+
+	var ss, absSum, wSum, wrSum float64
+	for i := 0; i < rows; i++ {
+		var s float64
+		for j, xj := range x[:n] {
+			s += a.At(i, j) * xj
+		}
+		r := s - k[i]
+		sol.Residuals[i] = r
+		ss += r * r
+		absSum += math.Abs(r)
+		wSum += weights[i]
+		wrSum += weights[i] * r
+	}
+	sol.FinalResidual = math.Sqrt(ss)
+	sol.MeanResidual = 0
+	if wSum > 0 {
+		sol.MeanResidual = wrSum / wSum
+	}
+	sol.MeanAbsResidual, sol.RMSResidual = 0, 0
+	if rows > 0 {
+		sol.MeanAbsResidual = absSum / float64(rows)
+		sol.RMSResidual = math.Sqrt(ss / float64(rows))
+	}
 
 	// Scatter the reduced solution back onto (x, y, z, d_r...).
 	coords := [3]float64{math.NaN(), math.NaN(), math.NaN()}
@@ -209,16 +234,4 @@ func fillSolution(sol *Solution, dim, numRefs int, known [3]bool, keep []int,
 		coords[2] = 0
 	}
 	sol.Position = geom.Vec3{X: coords[0], Y: coords[1], Z: coords[2]}
-
-	var wSum, wrSum float64
-	for i, r := range res {
-		wSum += weights[i]
-		wrSum += weights[i] * r
-	}
-	sol.MeanResidual = 0
-	if wSum > 0 {
-		sol.MeanResidual = wrSum / wSum
-	}
-	sol.MeanAbsResidual = stats.MeanAbs(res)
-	sol.RMSResidual = stats.RMS(res)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/geom"
@@ -53,6 +54,22 @@ func TestPreprocessRejectsInfPhase(t *testing.T) {
 	_, err := Preprocess(finitePositions(8), phases, 0)
 	if !errors.Is(err, ErrNonFiniteInput) {
 		t.Errorf("err = %v, want ErrNonFiniteInput", err)
+	}
+}
+
+// TestPreprocessReportsFirstBadInput pins the error Preprocess returns when
+// several inputs are non-finite: a bad position anywhere before a bad
+// phase, and each at its first index.
+func TestPreprocessReportsFirstBadInput(t *testing.T) {
+	pos := finitePositions(8)
+	phases := make([]float64, 8)
+	phases[1], phases[6] = math.NaN(), math.Inf(1)
+	pos[5], pos[7] = geom.V3(0, 0, math.Inf(1)), geom.V3(math.NaN(), 0, 0)
+	if _, err := Preprocess(pos, phases, 0); err == nil || !strings.Contains(err.Error(), "position 5 ") {
+		t.Errorf("bad positions and phases: err = %v, want position 5", err)
+	}
+	if _, err := Preprocess(finitePositions(8), phases, 0); err == nil || !strings.Contains(err.Error(), "phase 1 ") {
+		t.Errorf("bad phases: err = %v, want phase 1", err)
 	}
 }
 

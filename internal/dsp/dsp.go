@@ -95,23 +95,42 @@ func MovingAverageInto(dst, xs []float64, window int) ([]float64, error) {
 		dst = make([]float64, len(xs))
 	}
 	out := dst[:len(xs)]
-	half := window / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
+	n, half := len(xs), window/2
+	i := 0
+	for ; i < n && i < half; i++ {
+		out[i] = windowMean(xs, i, half)
+	}
+	// Whole windows, four outputs at a time: each output keeps its own
+	// sum, added in index order as windowMean adds it, so the four
+	// independent chains overlap without changing a bit.
+	w := float64(window)
+	for ; i+3 < n-half; i += 4 {
+		var s0, s1, s2, s3 float64
+		win := xs[i-half : i+half+4]
+		for j := 0; j+3 < len(win); j++ {
+			s0 += win[j]
+			s1 += win[j+1]
+			s2 += win[j+2]
+			s3 += win[j+3]
 		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		var s float64
-		for j := lo; j <= hi; j++ {
-			s += xs[j]
-		}
-		out[i] = s / float64(hi-lo+1)
+		out[i], out[i+1], out[i+2], out[i+3] = s0/w, s1/w, s2/w, s3/w
+	}
+	for ; i < n; i++ {
+		out[i] = windowMean(xs, i, half)
 	}
 	return out, nil
+}
+
+// windowMean is the mean of xs over the centred window of half-width half
+// around i, truncated at the ends of xs.
+func windowMean(xs []float64, i, half int) float64 {
+	lo := max(i-half, 0)
+	hi := min(i+half, len(xs)-1)
+	var s float64
+	for j := lo; j <= hi; j++ {
+		s += xs[j]
+	}
+	return s / float64(hi-lo+1)
 }
 
 // LinearResample interpolates the series (times, values) at the query

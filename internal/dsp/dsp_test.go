@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -245,6 +246,41 @@ func TestUnwrapIntoMatchesUnwrap(t *testing.T) {
 	}
 	if out := UnwrapInto(nil, nil); len(out) != 0 {
 		t.Errorf("UnwrapInto(nil, nil) = %v, want empty", out)
+	}
+}
+
+// TestMovingAverageMatchesInOrderSums pins the filter, bit for bit, to a
+// per-output sum taken in index order from zero and divided by the window
+// count, on every length up to 40 and windows from 1 to wider than the
+// input, over values of mixed magnitude and sign (so any reordering of a
+// sum shows) with signed zeros among them.
+func TestMovingAverageMatchesInOrderSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 40; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+			if rng.Intn(8) == 0 {
+				xs[i] = math.Copysign(0, -1)
+			}
+		}
+		for _, window := range []int{1, 3, 5, 9, 11, 41, 83} {
+			got, err := MovingAverage(xs, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range xs {
+				lo, hi := max(i-window/2, 0), min(i+window/2, n-1)
+				var sum float64
+				for j := lo; j <= hi; j++ {
+					sum += xs[j]
+				}
+				want := sum / float64(hi-lo+1)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("n %d window %d: out[%d] = %v, want %v", n, window, i, got[i], want)
+				}
+			}
+		}
 	}
 }
 

@@ -145,12 +145,10 @@ func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }
 
 // IsFinite reports whether all components are finite numbers.
 func (v Vec3) IsFinite() bool {
-	for _, c := range [3]float64{v.X, v.Y, v.Z} {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return false
-		}
-	}
-	return true
+	// |c| ≤ MaxFloat64 is false for ±Inf and, as an ordered compare, NaN.
+	return math.Abs(v.X) <= math.MaxFloat64 &&
+		math.Abs(v.Y) <= math.MaxFloat64 &&
+		math.Abs(v.Z) <= math.MaxFloat64
 }
 
 // String implements fmt.Stringer.

@@ -92,6 +92,7 @@ func (r *rate) add(x float64) {
 type tagState struct {
 	baselines map[Signal]*baseline
 	touched   time.Duration
+	scope     string // the tag's alert scope, "tag:<id>"
 }
 
 // perTagSignals are the signals evaluated against a tag's own baseline.
@@ -108,11 +109,14 @@ type Monitor struct {
 	mu  sync.Mutex
 	cfg Config
 
-	rules  []Rule
-	tags   map[string]*tagState
-	drift  map[string]*driftEstimator
-	order  []string // calibration antenna ids, registration order
-	active map[alertKey]*alertState
+	rules []Rule
+	tags  map[string]*tagState
+	drift map[string]*driftEstimator
+	order []string // calibration antenna ids, registration order
+	// driftScope is the drift alert scope "antenna:<id>" of each order
+	// entry, built once so evaluating the drift rules allocates nothing.
+	driftScope []string
+	active     map[alertKey]*alertState
 	// resolved holds recently resolved alerts, oldest first.
 	resolved []Alert
 
@@ -215,6 +219,7 @@ func New(cfg Config) (*Monitor, error) {
 		seenAnt[cal.Antenna] = true
 		m.drift[cal.Antenna] = newDriftEstimator(cal)
 		m.order = append(m.order, cal.Antenna)
+		m.driftScope = append(m.driftScope, "antenna:"+cal.Antenna)
 		// metriclint:bounded antenna ids come from the configured calibration set
 		m.driftGauges[cal.Antenna] = driftGauge.With(cal.Antenna)
 	}
@@ -315,7 +320,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 
 	if !o.Failed {
 		ts := m.tagStateLocked(o.Tag, now)
-		scope := "tag:" + o.Tag
+		scope := ts.scope
 		for _, r := range m.rules {
 			v, ok := perTagValue(r.Signal, o)
 			if !ok {
@@ -355,7 +360,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 		}
 	}
 
-	for _, ant := range m.order {
+	for i, ant := range m.order {
 		st := m.drift[ant].status()
 		gauge := 0.0
 		if st.Valid {
@@ -364,7 +369,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 		m.driftGauges[ant].Set(gauge)
 		for _, r := range m.rules {
 			if r.Signal == SignalDrift {
-				m.transitionLocked(r, "antenna:"+ant, o.Tag,
+				m.transitionLocked(r, m.driftScope[i], o.Tag,
 					st.Valid && st.DriftLambda > r.Threshold, st.DriftLambda, st.DriftRad, st.Calibrated, now)
 			}
 		}
@@ -435,7 +440,7 @@ func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
 			}
 			delete(m.tags, victim)
 		}
-		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals))}
+		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals)), scope: "tag:" + tag}
 		for _, sig := range perTagSignals {
 			ts.baselines[sig] = newBaseline(m.cfg.BaselineWindow, baselineAlpha)
 		}

@@ -25,6 +25,31 @@ func TestNilMonitorZeroOverhead(t *testing.T) {
 	}
 }
 
+// TestObserveSolveZeroAllocs pins the monitored hot path: a healthy solve
+// on a known tag, with every default rule and a calibrated antenna's drift
+// rule evaluated, allocates nothing (the alert scopes are built once, when
+// the tag and the antenna are first seen).
+func TestObserveSolveZeroAllocs(t *testing.T) {
+	m, err := New(Config{Calibrations: []Calibration{testCalibration()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := SolveObservation{
+		Tag: "T1", Window: 64, Residual: 0.01,
+		Condition: 10, Iterations: 3, Latency: 100 * time.Microsecond,
+	}
+	m.ObserveSolve(o) // first sight of T1 builds its state
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		o.Time = time.Duration(i) * time.Millisecond
+		m.ObserveSolve(o)
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveSolve allocated %v per run, want 0", allocs)
+	}
+}
+
 func BenchmarkObserveSampleMonitored(b *testing.B) {
 	m, err := New(Config{Calibrations: []Calibration{testCalibration()}, FlightDepth: -1})
 	if err != nil {

@@ -18,6 +18,27 @@ var expProbe = [4]float64{-0.1875, -1.6875, -2.375, -3.0625}
 // math.Exp on expProbe; math.Exp in a loop everywhere else.
 var useExpKernel = haveExpKernel() && !avx2Off(os.Getenv("GODEBUG")) && expKernelMatches()
 
+// useReweightKernel selects Workspace.Reweight's pass 2 for 2-column
+// systems once, at init: reweightKernel2 where the CPU has its
+// instructions and the exp kernel it embeds was chosen (so its weights
+// equal math.Exp's), the generic pass everywhere else.
+var useReweightKernel = useExpKernel && haveReweightKernel()
+
+// Kernels names the numeric kernels this process runs, as chosen at
+// init: "avx2" where Workspace.Reweight's 2-column pass and expInto run
+// their AVX2 assembly, "avx2-exp" where only expInto does, and "generic"
+// where both run portable Go. Every choice computes the same bits; the
+// name is recorded with benchmark snapshots, which compare like with like.
+func Kernels() string {
+	switch {
+	case useReweightKernel:
+		return "avx2"
+	case useExpKernel:
+		return "avx2-exp"
+	}
+	return "generic"
+}
+
 // expKernelMatches reports whether expKernel equals math.Exp bit for bit
 // on every expProbe value.
 func expKernelMatches() bool {

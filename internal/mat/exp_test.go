@@ -82,13 +82,18 @@ func TestExpIntoMatchesMathExp(t *testing.T) {
 }
 
 // TestExpKernelChosen pins the dispatch on this host: where the CPU has
-// the kernel and GODEBUG leaves its instructions on (so math.Exp takes
-// its FMA path), the probe passes and expInto uses the kernel.
+// the kernels and GODEBUG leaves their instructions on (so math.Exp takes
+// its FMA path), the probe passes, expInto uses its kernel and Reweight
+// uses reweightKernel2.
 func TestExpKernelChosen(t *testing.T) {
 	if want := os.Getenv("MAT_EXP_WANT"); want != "" {
 		// A child started by TestExpDispatchHonoursGODEBUG.
-		if useExpKernel != (want == "kernel") {
-			t.Fatalf("useExpKernel = %v under GODEBUG=%q, want %s", useExpKernel, os.Getenv("GODEBUG"), want)
+		if useExpKernel != (want == "kernel") || useReweightKernel != (want == "kernel") {
+			t.Fatalf("useExpKernel = %v, useReweightKernel = %v under GODEBUG=%q, want %s",
+				useExpKernel, useReweightKernel, os.Getenv("GODEBUG"), want)
+		}
+		if want == "scalar" && Kernels() != "generic" {
+			t.Fatalf("Kernels() = %q with both kernels off", Kernels())
 		}
 		if probe := os.Getenv("MAT_EXP_PROBE"); probe != "" && haveExpKernel() {
 			if got := expKernelMatches(); got != (probe == "pass") {
@@ -101,12 +106,16 @@ func TestExpKernelChosen(t *testing.T) {
 	if haveExpKernel() && !avx2Off(os.Getenv("GODEBUG")) && !useExpKernel {
 		t.Fatal("the CPU supports the kernel but the init probe rejected it")
 	}
+	if haveReweightKernel() && useExpKernel && !useReweightKernel {
+		t.Fatal("the CPU supports reweightKernel2 but it was not chosen")
+	}
 }
 
 // TestExpDispatchHonoursGODEBUG re-runs the test binary with GODEBUG
 // settings that take math.Exp off its FMA path (cpu.fma=off, cpu.avx=off)
 // or turn off the kernel's instructions (cpu.avx2=off): expInto must fall
-// back to the math.Exp loop, and its results must still equal math.Exp.
+// back to the math.Exp loop, Reweight to its generic pass 2, and expInto's
+// results must still equal math.Exp.
 // Where math.Exp leaves its FMA path, the probe alone must reject the
 // kernel.
 func TestExpDispatchHonoursGODEBUG(t *testing.T) {

@@ -23,8 +23,3 @@ func LeastSquares(a *Dense, b []float64) ([]float64, error) {
 func WeightedLeastSquares(a *Dense, b, w []float64) ([]float64, error) {
 	return new(Workspace).WeightedLeastSquares(a, b, w)
 }
-
-// Residuals returns r = A·x − b.
-func Residuals(a *Dense, x, b []float64) ([]float64, error) {
-	return new(Workspace).Residuals(a, x, b)
-}

@@ -84,18 +84,6 @@ func (m *Dense) Reshape(rows, cols int) *Dense {
 	return m
 }
 
-// mulVecInto computes m·v into out (len m.rows, fully overwritten).
-func (m *Dense) mulVecInto(out, v []float64) {
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, r := range row {
-			s += r * v[j]
-		}
-		out[i] = s
-	}
-}
-
 // Gram returns the Gram matrix mᵀ·m (cols×cols), computed directly without
 // materialising the transpose.
 func (m *Dense) Gram() *Dense {

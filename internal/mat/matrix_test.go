@@ -23,8 +23,24 @@ func mustFromRows(t *testing.T, rows [][]float64) *Dense {
 // mulVec returns a·v.
 func mulVec(a *Dense, v []float64) []float64 {
 	out := make([]float64, a.Rows())
-	a.mulVecInto(out, v)
+	for i := range out {
+		var s float64
+		for j, r := range a.data[i*a.cols : (i+1)*a.cols] {
+			s += r * v[j]
+		}
+		out[i] = s
+	}
 	return out
+}
+
+// residuals returns r = A·x − b, summed in the order Workspace.Reweight
+// and the solvers' finish sum it.
+func residuals(a *Dense, x, b []float64) []float64 {
+	r := mulVec(a, x)
+	for i := range r {
+		r[i] -= b[i]
+	}
+	return r
 }
 
 // matMul returns a·b, the reference product for the Gram kernels.

@@ -43,10 +43,7 @@ func TestQRResidualOrthogonalToColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Residuals(a, x, b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := residuals(a, x, b)
 		atr, err := a.TMulVec(r)
 		if err != nil {
 			t.Fatal(err)

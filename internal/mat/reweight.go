@@ -28,14 +28,15 @@ type Reweight struct {
 //
 //  1. r = A·x − b, with the running Welford mean and standard deviation
 //     and the sum of squares behind ResNorm;
-//  2. w_i = exp(−d_i²/2) with d_i = (r_i − mean)/std (Eq. 15), computed
-//     for all rows at once by expInto, then the count of weights below
-//     floor and the weighted normal equations AᵀWA and AᵀWb, which a
-//     Cholesky solve turns into the next iterate (Eq. 16). The reduced
-//     [α, ω] system of the line solver (2 columns) accumulates in
-//     registers; other column counts take the generic loop.
+//  2. w_i = exp(−d_i²/2) with d_i = (r_i − mean)/std (Eq. 15), the count
+//     of weights below floor, and the weighted normal equations AᵀWA and
+//     AᵀWb, which a Cholesky solve turns into the next iterate (Eq. 16).
+//     The reduced [α, ω] system of the line solver (2 columns) runs this
+//     pass in reweightKernel2 where useReweightKernel is set; every other
+//     case computes the weights with weightsInto, then accumulates them
+//     with reweightSums.
 //
-// The result is bit-identical to the unfused sequence Residuals → Norm2 →
+// The result is bit-identical to the unfused sequence A·x − b → Norm2 →
 // stats.MeanStd → the math.Exp weights → WeightedLeastSquares: every
 // accumulator sees the same operations in the same order, and the
 // zero-weight and zero-coefficient skips of the weighted Gram and rhs
@@ -44,8 +45,8 @@ type Reweight struct {
 // QR).
 //
 // w must have one entry per row; it is overwritten unless Std is zero. A
-// NaN weight returns the error WeightedLeastSquares reports for it. x may
-// alias the X of an earlier call on ws.
+// NaN weight returns the error WeightedLeastSquares reports for it, and
+// leaves w partly written. x may alias the X of an earlier call on ws.
 func (ws *Workspace) Reweight(a *Dense, b, x, w []float64, floor float64) (Reweight, error) {
 	rows, n := a.Rows(), a.Cols()
 	if n != len(x) || rows != len(b) || rows != len(w) {
@@ -53,12 +54,17 @@ func (ws *Workspace) Reweight(a *Dense, b, x, w []float64, floor float64) (Rewei
 	}
 	ws.res = grow(ws.res, rows)
 	res := ws.res
+	ad := a.data[:rows*n]
 	var mean, m2, ss float64
 	for i := 0; i < rows; i++ {
-		row := a.data[i*n : (i+1)*n]
 		var s float64
-		for j, v := range row {
-			s += v * x[j]
+		if n == 2 {
+			s += ad[2*i] * x[0]
+			s += ad[2*i+1] * x[1]
+		} else {
+			for j, v := range ad[i*n : (i+1)*n] {
+				s += v * x[j]
+			}
 		}
 		r := s - b[i]
 		res[i] = r
@@ -75,23 +81,17 @@ func (ws *Workspace) Reweight(a *Dense, b, x, w []float64, floor float64) (Rewei
 		return rw, nil
 	}
 
-	std := rw.Std
-	for i, r := range res {
-		d := (r - mean) / std
-		w[i] = -d * d / 2
-	}
-	expInto(w, w) // Eq. 15
-
 	ws.gram.Reshape(n, n)
 	ws.rhs = grow(ws.rhs, n)
 	for j := range ws.rhs {
 		ws.rhs[j] = 0
 	}
 	var err error
-	if n == 2 {
-		rw.FloorHits, err = reweightSums2(ws.gram.data, ws.rhs, a.data, b, w, floor)
+	if n == 2 && useReweightKernel {
+		rw.FloorHits, err = reweightPass2(ws.gram.data, ws.rhs, ad, b, res, w, mean, rw.Std, floor)
 	} else {
-		rw.FloorHits, err = reweightSums(ws.gram.data, ws.rhs, a.data, b, w, floor)
+		weightsInto(w, res, mean, rw.Std)
+		rw.FloorHits, err = reweightSums(ws.gram.data, ws.rhs, ad, b, w, 0, rows, floor)
 	}
 	if err != nil {
 		return Reweight{}, err
@@ -112,14 +112,49 @@ func (ws *Workspace) Reweight(a *Dense, b, x, w []float64, floor float64) (Rewei
 	return rw, nil
 }
 
-// reweightSums adds the weighted normal equations of the row-major n-column
-// matrix a (n = len(rhs)) into the zeroed gram and rhs, and counts the
-// weights below floor. Only the lower triangle of AᵀWA is accumulated: it
-// is all the Cholesky factorization reads. A NaN weight is an error.
-func reweightSums(gram, rhs, a, b, w []float64, floor float64) (int, error) {
+// weightsInto sets w[i] = exp(−d²/2) with d = (res[i] − mean)/std, the
+// IRWLS weights of Eq. 15, through one expInto call.
+func weightsInto(w, res []float64, mean, std float64) {
+	w = w[:len(res)]
+	for i, r := range res {
+		d := (r - mean) / std
+		w[i] = -d * d / 2
+	}
+	expInto(w, w)
+}
+
+// reweightPass2 is pass 2 of Reweight for a 2-column system on
+// reweightKernel2: the kernel takes every block of 4 rows it can, and each
+// block it stops before, and the tail, go through weightsInto and
+// reweightSums, which carry on from the same sums.
+func reweightPass2(gram, rhs, a, b, res, w []float64, mean, std, floor float64) (int, error) {
+	hits := 0
+	for i := 0; i < len(w); {
+		done, h := reweightKernel2(gram, rhs, w[i:], res[i:], a[2*i:], b[i:], mean, std, floor)
+		i += done
+		hits += h
+		end := min(i+4, len(w))
+		weightsInto(w[i:end], res[i:end], mean, std)
+		h, err := reweightSums(gram, rhs, a, b, w, i, end, floor)
+		if err != nil {
+			return 0, err
+		}
+		hits += h
+		i = end
+	}
+	return hits, nil
+}
+
+// reweightSums adds the weighted normal equations of rows [lo, hi) of the
+// row-major n-column matrix a (n = len(rhs)) into gram and rhs, and counts
+// the weights below floor. Only the lower triangle of AᵀWA is
+// accumulated: it is all the Cholesky factorization reads. A NaN weight
+// is an error.
+func reweightSums(gram, rhs, a, b, w []float64, lo, hi int, floor float64) (int, error) {
 	n := len(rhs)
 	hits := 0
-	for i, wi := range w {
+	for i := lo; i < hi; i++ {
+		wi := w[i]
 		if wi < floor {
 			hits++
 		}
@@ -145,40 +180,5 @@ func reweightSums(gram, rhs, a, b, w []float64, floor float64) (int, error) {
 			}
 		}
 	}
-	return hits, nil
-}
-
-// reweightSums2 is reweightSums for n = 2, with the three lower-triangle
-// Gram entries and both rhs entries held in registers. Every sum sees the
-// same operations, skips included, in the same order as in reweightSums.
-func reweightSums2(gram, rhs, a, b, w []float64, floor float64) (int, error) {
-	var g00, g10, g11, r0, r1 float64
-	hits := 0
-	for i, wi := range w {
-		if wi < floor {
-			hits++
-		}
-		if math.IsNaN(wi) {
-			return 0, fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
-		}
-		a0, a1 := a[2*i], a[2*i+1]
-		if wi != 0 {
-			if a0 != 0 {
-				s := wi * a0
-				g00 += s * a0
-			}
-			if a1 != 0 {
-				s := wi * a1
-				g10 += s * a0
-				g11 += s * a1
-			}
-		}
-		if wv := wi * b[i]; wv != 0 {
-			r0 += a0 * wv
-			r1 += a1 * wv
-		}
-	}
-	gram[0], gram[2], gram[3] = g00, g10, g11
-	rhs[0], rhs[1] = r0, r1
 	return hits, nil
 }

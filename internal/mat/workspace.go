@@ -7,8 +7,8 @@ import (
 
 // Workspace is a caller-owned scratch arena for LION's least-squares
 // solves, and the only implementation of them: the package-level
-// LeastSquares, WeightedLeastSquares and Residuals each run a method here
-// on a fresh workspace. All intermediate storage lives in the workspace and
+// LeastSquares and WeightedLeastSquares each run a method here on a fresh
+// workspace. All intermediate storage lives in the workspace and
 // is reused across calls, so in steady state (stable problem dimensions) a
 // workspace-based solve performs zero heap allocations.
 //
@@ -31,7 +31,7 @@ type Workspace struct {
 	x    []float64 // solution vector (returned, aliases scratch)
 	y    []float64 // forward-substitution scratch
 	rhs  []float64 // Aᵀb / AᵀWb scratch
-	res  []float64 // residual vector (returned, aliases scratch)
+	res  []float64 // Reweight's residual vector (returned, aliases scratch)
 	bw   []float64 // sqrt-weighted copy of b for the QR fallback
 }
 
@@ -125,22 +125,6 @@ func (ws *Workspace) WeightedLeastSquares(a *Dense, b, w []float64) ([]float64, 
 	ws.y = grow(ws.y, n)
 	choleskySolveFactorInto(ws.x, ws.y, &ws.chol, ws.rhs)
 	return ws.x, nil
-}
-
-// Residuals returns r = A·x − b. The returned slice aliases workspace
-// scratch and is valid until the next call on ws. x may be a slice that an
-// earlier solve on ws returned (the IRLS pattern): r is written to its own
-// scratch, never to ws.x.
-func (ws *Workspace) Residuals(a *Dense, x, b []float64) ([]float64, error) {
-	if a.Cols() != len(x) || a.Rows() != len(b) {
-		return nil, ErrShape
-	}
-	ws.res = grow(ws.res, a.Rows())
-	a.mulVecInto(ws.res, x)
-	for i := range ws.res {
-		ws.res[i] -= b[i]
-	}
-	return ws.res, nil
 }
 
 // ConditionEst returns a cheap order-of-magnitude estimate of the 2-norm

@@ -9,8 +9,7 @@ import (
 
 // TestWorkspaceMatchesAllocatingPath asserts that a workspace reused across
 // random tall systems of varying shape returns the same bits as a fresh one
-// (what the package-level solvers run on), and that Residuals may take a
-// solution that still aliases the workspace's scratch.
+// (what the package-level solvers run on).
 func TestWorkspaceMatchesAllocatingPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var ws Workspace
@@ -35,20 +34,6 @@ func TestWorkspaceMatchesAllocatingPath(t *testing.T) {
 		}
 		if !vecAlmostEq(got, want, 0) {
 			t.Fatalf("trial %d: reused workspace = %v, fresh = %v", trial, got, want)
-		}
-
-		// got aliases ws scratch that ws.Residuals does not touch; using it
-		// as x here is the IRLS pattern the doc comment promises works.
-		gotR, err := ws.Residuals(a, got, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantR := mulVec(a, want)
-		for i := range wantR {
-			wantR[i] -= b[i]
-		}
-		if !vecAlmostEq(gotR, wantR, 0) {
-			t.Fatalf("trial %d: Residuals = %v, want %v", trial, gotR, wantR)
 		}
 
 		wantW, err := WeightedLeastSquares(a, b, w)
@@ -128,9 +113,6 @@ func TestWorkspaceShapeErrors(t *testing.T) {
 	if _, err := ws.WeightedLeastSquares(a, []float64{1, 2, 3}, []float64{1, 1}); err == nil {
 		t.Error("short weights: want error")
 	}
-	if _, err := ws.Residuals(a, []float64{1}, []float64{1, 2, 3}); err == nil {
-		t.Error("short x: want error")
-	}
 }
 
 // TestWorkspaceSteadyStateZeroAllocs enforces the zero-allocation contract:
@@ -150,11 +132,7 @@ func TestWorkspaceSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		x, err := ws.LeastSquares(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ws.Residuals(a, x, b); err != nil {
+		if _, err := ws.LeastSquares(a, b); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ws.WeightedLeastSquares(a, b, w); err != nil {

@@ -142,27 +142,3 @@ func selectK(xs []float64, k int) {
 		}
 	}
 }
-
-// RMS returns the root mean square of xs.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// MeanAbs returns the mean absolute value of xs.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}

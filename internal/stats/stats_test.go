@@ -84,18 +84,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestRMSAndMeanAbs(t *testing.T) {
-	if got := RMS([]float64{3, 4}); !almostEq(got, math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMS = %v", got)
-	}
-	if got := MeanAbs([]float64{-3, 3}); got != 3 {
-		t.Errorf("MeanAbs = %v", got)
-	}
-	if RMS(nil) != 0 || MeanAbs(nil) != 0 {
-		t.Error("empty RMS/MeanAbs not zero")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/load"
+	"github.com/rfid-lion/lion/internal/mat"
 	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/rf"
 )
@@ -198,5 +200,32 @@ func TestSolveWindowGolden(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Fatalf("%d of %d solves differ from %s", bad, len(got), goldenPath)
+	}
+}
+
+// TestSolveWindowGoldenGenericKernels re-runs TestSolveWindowGolden in a child
+// process under GODEBUG=cpu.avx2=off, where mat must choose its portable
+// kernels (the child checks mat.Kernels), so the golden also pins the path
+// that hosts without AVX2 take.
+func TestSolveWindowGoldenGenericKernels(t *testing.T) {
+	if want := os.Getenv("LION_WANT_KERNELS"); want != "" {
+		if got := mat.Kernels(); got != want {
+			t.Fatalf("mat.Kernels() = %q under GODEBUG=%q, want %q", got, os.Getenv("GODEBUG"), want)
+		}
+		return
+	}
+	if testing.Short() {
+		t.Skip("starts a child process")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^(TestSolveWindowGolden|"+t.Name()+")$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.avx2=off", "LION_WANT_KERNELS=generic")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("GODEBUG=cpu.avx2=off: %v\n%s", err, out)
+	}
+	for _, name := range []string{"TestSolveWindowGolden", t.Name()} {
+		if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+			t.Fatalf("the child did not pass %s:\n%s", name, out)
+		}
 	}
 }

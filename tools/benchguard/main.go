@@ -13,9 +13,10 @@
 //     noisy; the guarded list holds the benchmarks whose latency is a
 //     product requirement).
 //   - Two snapshots that both carry benchmarks must come from the same
-//     go_version, goos, goarch and gomaxprocs: allocation counts shift with
-//     GOMAXPROCS and the toolchain, so unlike environments are a finding,
-//     not a comparison.
+//     go_version, goos, goarch and gomaxprocs, and the same kernels when
+//     the baseline records them: allocation counts shift with GOMAXPROCS
+//     and the toolchain, and ns/op with the AVX2 or portable solve
+//     kernels, so unlike environments are a finding, not a comparison.
 //   - Macro SLO fields (the "macro" section lionload merges into a
 //     snapshot) are guarded against their declared targets, not against the
 //     previous snapshot: a committed BENCH file whose measured macro value
@@ -104,8 +105,9 @@ func compare(baseline, current *benchfmt.Snapshot, maxShift float64, guardNS map
 			{"goos", baseline.GOOS, current.GOOS},
 			{"goarch", baseline.GOARCH, current.GOARCH},
 			{"gomaxprocs", fmt.Sprint(baseline.MaxProcs), fmt.Sprint(current.MaxProcs)},
+			{"kernels", baseline.Kernels, current.Kernels},
 		} {
-			if f.base != f.cur {
+			if f.base != f.cur && f.base != "" {
 				findings = append(findings,
 					fmt.Sprintf("environment: %s %s, baseline %s (snapshots are not comparable)",
 						f.name, f.cur, f.base))

@@ -102,6 +102,16 @@ func TestCompareEnvironmentMismatch(t *testing.T) {
 	if f := compare(base, env("go1.23.4", "linux", "amd64", 2), 0.10, nil); len(f) != 1 || !strings.Contains(f[0], "missing") {
 		t.Errorf("benchmark-free current snapshot: want only the missing finding, got %v", f)
 	}
+	// The kernel set is compared once the baseline records it; a baseline
+	// older than the field accepts any.
+	avx2, generic := env("go1.24.0", "linux", "amd64", 1, b), env("go1.24.0", "linux", "amd64", 1, b)
+	avx2.Kernels, generic.Kernels = "avx2", "generic"
+	if f := compare(avx2, generic, 0.10, nil); len(f) != 1 || !strings.Contains(f[0], "kernels") {
+		t.Errorf("kernels mismatch: want one environment finding, got %v", f)
+	}
+	if f := compare(base, generic, 0.10, nil); len(f) != 0 {
+		t.Errorf("baseline without kernels flagged: %v", f)
+	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
